@@ -1,11 +1,12 @@
 # Development targets. `make verify` runs everything CI runs: build, vet,
-# the project's own dsmlint analyzers, the race-enabled test suite, an
-# invariant-checked simulation smoke test, and the live-runtime cluster
-# tests (in-proc under the race detector, plus a TCP loopback smoke run).
+# the project's own dsmlint analyzers, a short wire-codec fuzz run, the
+# race-enabled test suite, an invariant-checked simulation smoke test,
+# and the live-runtime cluster tests (in-proc under the race detector,
+# plus a TCP loopback smoke run).
 
 GO ?= go
 
-.PHONY: build vet lint test race check-smoke live chaos recover failover scale-smoke serve serve-smoke endurance bench-live bench-scale bench-serve verify
+.PHONY: build vet lint fuzz-smoke test race check-smoke live chaos recover failover scale-smoke serve serve-smoke endurance bench-live bench-scale bench-serve verify
 
 build:
 	$(GO) build ./...
@@ -15,6 +16,11 @@ vet:
 
 lint:
 	$(GO) run ./cmd/dsmlint ./...
+
+# fuzz-smoke: 20 s of coverage-guided fuzzing of the wire decoder,
+# seeded with one frame per message kind (offline; no corpus download).
+fuzz-smoke:
+	$(GO) test -run='^$$' -fuzz=FuzzDecode -fuzztime=20s ./internal/live/wire
 
 test:
 	$(GO) test ./...
@@ -154,4 +160,4 @@ bench-scale:
 	done
 	@wc -l BENCH_scale.json
 
-verify: build vet lint race check-smoke live chaos recover failover scale-smoke serve-smoke endurance
+verify: build vet lint fuzz-smoke race check-smoke live chaos recover failover scale-smoke serve-smoke endurance

@@ -391,9 +391,9 @@ func TaskQueueFigures(r *Runner, scale Scale) (*FigureSet, error) {
 }
 
 // TaskQueueGrain sweeps the task granularity at a fixed processor count
-// (the examples/taskqueue demonstration, now regenerable): coarse tasks
-// scale, fine tasks drown in lock-acquisition latency, and the lazy
-// protocols hold their advantage longest. Rows are grains, one speedup
+// (`go run ./cmd/experiments -only taskqueue`): coarse tasks scale,
+// fine tasks drown in lock-acquisition latency, and the lazy protocols
+// hold their advantage longest. Rows are grains, one speedup
 // column per protocol.
 func TaskQueueGrain(r *Runner, scale Scale) (*Table, error) {
 	const procs = 8

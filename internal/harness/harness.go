@@ -111,9 +111,8 @@ func NewApp(name string, scale Scale) (App, error) {
 			return cholesky.New(cholesky.Small()), nil
 		}
 	case "taskqueue":
-		// Promoted from examples/taskqueue; not in AppNames because it
-		// is this reproduction's own probe, not one of the paper's four
-		// figure workloads.
+		// Not in AppNames because it is this reproduction's own probe,
+		// not one of the paper's four figure workloads.
 		switch scale {
 		case ScalePaper:
 			return taskqueue.New(taskqueue.Default()), nil

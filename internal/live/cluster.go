@@ -370,7 +370,7 @@ func (c *Cluster) Run(worker func(core.Worker)) (*Stats, error) {
 	for _, nd := range c.nodes {
 		s := nd.Stats()
 		st.PerNode = append(st.PerNode, s)
-		addStats(&st.Total, &s)
+		st.Total.Add(&s)
 	}
 	st.Total.Node = -1
 	st.computeBalance()
@@ -393,7 +393,7 @@ func (c *Cluster) StatsSnapshot() *Stats {
 		}
 		s := nd.Stats()
 		st.PerNode = append(st.PerNode, s)
-		addStats(&st.Total, &s)
+		st.Total.Add(&s)
 	}
 	st.Total.Node = -1
 	st.computeBalance()
@@ -435,57 +435,6 @@ func pickErr(errs []error) error {
 		}
 	}
 	return first
-}
-
-// addStats accumulates src's counters into dst.
-func addStats(dst, src *node.Stats) {
-	dst.MsgsSent += src.MsgsSent
-	dst.MsgsRecv += src.MsgsRecv
-	dst.BytesSent += src.BytesSent
-	dst.BytesRecv += src.BytesRecv
-	dst.DataBytes += src.DataBytes
-	dst.SharedReads += src.SharedReads
-	dst.SharedWrites += src.SharedWrites
-	dst.PageFaults += src.PageFaults
-	dst.PageFetches += src.PageFetches
-	dst.DiffPulls += src.DiffPulls
-	dst.TwinsCreated += src.TwinsCreated
-	dst.DiffsCreated += src.DiffsCreated
-	dst.DiffsApplied += src.DiffsApplied
-	dst.DiffBytes += src.DiffBytes
-	dst.Intervals += src.Intervals
-	dst.Invalidations += src.Invalidations
-	dst.LockAcquires += src.LockAcquires
-	dst.BarrierEpisodes += src.BarrierEpisodes
-	dst.LockLocalAcquires += src.LockLocalAcquires
-	dst.LockForwards += src.LockForwards
-	dst.LockHandoffs += src.LockHandoffs
-	dst.LogSegFetches += src.LogSegFetches
-	dst.RPCRetries += src.RPCRetries
-	dst.DupRequests += src.DupRequests
-	dst.DupReplies += src.DupReplies
-	dst.HeartbeatsSent += src.HeartbeatsSent
-	dst.HeartbeatsRecv += src.HeartbeatsRecv
-	dst.CheckpointsTaken += src.CheckpointsTaken
-	dst.CheckpointBytes += src.CheckpointBytes
-	dst.StaleFrames += src.StaleFrames
-	dst.LockWaitNs += src.LockWaitNs
-	dst.BarrierWaitNs += src.BarrierWaitNs
-	dst.FaultWaitNs += src.FaultWaitNs
-	dst.FlushWaitNs += src.FlushWaitNs
-	dst.ServeGets += src.ServeGets
-	dst.ServePuts += src.ServePuts
-	dst.ServeLockWaitNs += src.ServeLockWaitNs
-	dst.ConsensusTerms += src.ConsensusTerms
-	dst.ConsensusElections += src.ConsensusElections
-	dst.ConsensusCommits += src.ConsensusCommits
-	dst.LeaderRedirects += src.LeaderRedirects
-	dst.ConsensusCompactions += src.ConsensusCompactions
-	dst.ConsensusSnapInstalls += src.ConsensusSnapInstalls
-	dst.ConsensusConfChanges += src.ConsensusConfChanges
-	dst.ConsensusSlotQuarantines += src.ConsensusSlotQuarantines
-	dst.ConsensusLaneDrops += src.ConsensusLaneDrops
-	dst.MgrCacheEvictions += src.MgrCacheEvictions
 }
 
 // PeekU64 implements core.Peeker: before Run it reads the initial image,

@@ -508,13 +508,13 @@ func (n *Node) Stats() Stats { return n.stats.Snapshot() }
 // node's counters. Safe from any goroutine.
 func (n *Node) CountServe(gets, puts, lockWaitNs int64) {
 	if gets != 0 {
-		n.stats.add(&n.stats.ServeGets, gets)
+		atomic.AddInt64(&n.stats.ServeGets, gets)
 	}
 	if puts != 0 {
-		n.stats.add(&n.stats.ServePuts, puts)
+		atomic.AddInt64(&n.stats.ServePuts, puts)
 	}
 	if lockWaitNs != 0 {
-		n.stats.add(&n.stats.ServeLockWaitNs, lockWaitNs)
+		atomic.AddInt64(&n.stats.ServeLockWaitNs, lockWaitNs)
 	}
 }
 
@@ -908,7 +908,7 @@ func (n *Node) pullDiffs(pg page.ID) {
 // waiting requester (bypassing the dispatcher queue).
 func isReply(k wire.Kind) bool {
 	switch k {
-	case wire.KPageReply, wire.KDiffReply, wire.KAck, wire.KLockGrant, wire.KBarDepart, wire.KReleaseAck,
+	case wire.KPageReply, wire.KDiffReply, wire.KAck, wire.KLockGrant, wire.KBarDepart,
 		wire.KJoinGrant, wire.KSnapChunk, wire.KLogSegResp, wire.KNotLeader, wire.KConfAck:
 		return true
 	}

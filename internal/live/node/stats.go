@@ -1,6 +1,7 @@
 package node
 
 import (
+	"reflect"
 	"sync/atomic"
 
 	"lrcdsm/internal/live/wire"
@@ -13,6 +14,10 @@ import (
 // comparable numbers; wait times are real wall-clock nanoseconds instead
 // of simulated cycles. All fields are updated with atomics — a node's
 // worker, dispatcher and pump touch them concurrently.
+//
+// The struct is the only list of counters: every int64 field is one,
+// Snapshot and Add walk the fields, and the json tags name them in the
+// dsmd and dsmserve reports. A new counter is one line here.
 type Stats struct {
 	Node int `json:"node"`
 
@@ -109,43 +114,30 @@ type Stats struct {
 	MgrCacheEvictions        int64 `json:"mgr_cache_evictions"`
 }
 
-func (s *Stats) add(f *int64, d int64) { atomic.AddInt64(f, d) }
-
 // Snapshot returns a plain copy of the (atomically updated) counters.
 func (s *Stats) Snapshot() Stats {
-	var out Stats
-	out.Node = s.Node
-	for _, c := range []struct{ dst, src *int64 }{
-		{&out.MsgsSent, &s.MsgsSent}, {&out.MsgsRecv, &s.MsgsRecv},
-		{&out.BytesSent, &s.BytesSent}, {&out.BytesRecv, &s.BytesRecv},
-		{&out.DataBytes, &s.DataBytes},
-		{&out.SharedReads, &s.SharedReads}, {&out.SharedWrites, &s.SharedWrites},
-		{&out.PageFaults, &s.PageFaults}, {&out.PageFetches, &s.PageFetches},
-		{&out.DiffPulls, &s.DiffPulls},
-		{&out.TwinsCreated, &s.TwinsCreated}, {&out.DiffsCreated, &s.DiffsCreated},
-		{&out.DiffsApplied, &s.DiffsApplied}, {&out.DiffBytes, &s.DiffBytes},
-		{&out.Intervals, &s.Intervals}, {&out.Invalidations, &s.Invalidations},
-		{&out.LockAcquires, &s.LockAcquires}, {&out.BarrierEpisodes, &s.BarrierEpisodes},
-		{&out.LockLocalAcquires, &s.LockLocalAcquires}, {&out.LockForwards, &s.LockForwards},
-		{&out.LockHandoffs, &s.LockHandoffs}, {&out.LogSegFetches, &s.LogSegFetches},
-		{&out.RPCRetries, &s.RPCRetries}, {&out.DupRequests, &s.DupRequests},
-		{&out.DupReplies, &s.DupReplies},
-		{&out.HeartbeatsSent, &s.HeartbeatsSent}, {&out.HeartbeatsRecv, &s.HeartbeatsRecv},
-		{&out.CheckpointsTaken, &s.CheckpointsTaken}, {&out.CheckpointBytes, &s.CheckpointBytes},
-		{&out.StaleFrames, &s.StaleFrames},
-		{&out.LockWaitNs, &s.LockWaitNs}, {&out.BarrierWaitNs, &s.BarrierWaitNs},
-		{&out.FaultWaitNs, &s.FaultWaitNs}, {&out.FlushWaitNs, &s.FlushWaitNs},
-		{&out.ServeGets, &s.ServeGets}, {&out.ServePuts, &s.ServePuts},
-		{&out.ServeLockWaitNs, &s.ServeLockWaitNs},
-		{&out.ConsensusTerms, &s.ConsensusTerms}, {&out.ConsensusElections, &s.ConsensusElections},
-		{&out.ConsensusCommits, &s.ConsensusCommits}, {&out.LeaderRedirects, &s.LeaderRedirects},
-		{&out.ConsensusCompactions, &s.ConsensusCompactions}, {&out.ConsensusSnapInstalls, &s.ConsensusSnapInstalls},
-		{&out.ConsensusConfChanges, &s.ConsensusConfChanges}, {&out.ConsensusSlotQuarantines, &s.ConsensusSlotQuarantines},
-		{&out.ConsensusLaneDrops, &s.ConsensusLaneDrops}, {&out.MgrCacheEvictions, &s.MgrCacheEvictions},
-	} {
-		*c.dst = atomic.LoadInt64(c.src)
-	}
+	out := Stats{Node: s.Node}
+	eachCounter(&out, s, func(dst, src *int64) { *dst = atomic.LoadInt64(src) })
 	return out
+}
+
+// Add accumulates o's counters into s. Both must be quiescent copies
+// (Snapshot results); s.Node is left as it is.
+func (s *Stats) Add(o *Stats) {
+	eachCounter(s, o, func(dst, src *int64) { *dst += *src })
+}
+
+// eachCounter calls f on the matching addresses of every counter in dst
+// and src: the struct's int64 fields, walked by reflection so the field
+// list above is the only list. Node, an int, is an identity rather than
+// a counter and is skipped by its type.
+func eachCounter(dst, src *Stats, f func(dst, src *int64)) {
+	dv, sv := reflect.ValueOf(dst).Elem(), reflect.ValueOf(src).Elem()
+	for i := 0; i < dv.NumField(); i++ {
+		if dv.Field(i).Kind() == reflect.Int64 {
+			f(dv.Field(i).Addr().Interface().(*int64), sv.Field(i).Addr().Interface().(*int64))
+		}
+	}
 }
 
 // Observer receives protocol-level events from a live run, mirroring the

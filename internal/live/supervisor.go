@@ -204,7 +204,7 @@ wait:
 	for _, nd := range nodes {
 		s := nd.Stats()
 		st.PerNode = append(st.PerNode, s)
-		addStats(&st.Total, &s)
+		st.Total.Add(&s)
 	}
 	st.Total.Node = -1
 	st.computeBalance()
@@ -596,7 +596,7 @@ func (c *Cluster) RunSupervised(worker func(core.Worker), opts RecoverOptions) (
 		// The killed incarnation's counters would vanish with the engine;
 		// fold them into the run total.
 		ks := nodes[ev.victim].Stats()
-		addStats(&killedTotal, &ks)
+		killedTotal.Add(&ks)
 
 		delay := ev.restartAfter
 		if opts.RestartDelay > 0 {
@@ -660,9 +660,9 @@ finished:
 	for _, nd := range nodes {
 		s := nd.Stats()
 		st.PerNode = append(st.PerNode, s)
-		addStats(&st.Total, &s)
+		st.Total.Add(&s)
 	}
-	addStats(&st.Total, &killedTotal)
+	st.Total.Add(&killedTotal)
 	st.Total.Node = -1
 	st.computeBalance()
 	return st, nil

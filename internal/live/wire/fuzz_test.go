@@ -10,9 +10,11 @@ import (
 // frame it accepts must re-encode to the identical byte string (the
 // format has a single canonical encoding per message).
 //
-// The committed seed corpus under testdata/fuzz/FuzzDecode holds one
-// valid frame per message kind plus malformed variants; `go test` always
-// runs the corpus, `go test -fuzz=FuzzDecode` explores further.
+// The seeds are one valid frame per sample message (so every kind) plus
+// a few malformed frames. The files under testdata/fuzz/FuzzDecode are
+// frames of earlier formats (retired version bytes), kept as more
+// malformed inputs; `go test` runs them with the seeds. `make
+// fuzz-smoke` explores further.
 func FuzzDecode(f *testing.F) {
 	for _, m := range sampleMsgs() {
 		f.Add(Encode(m))

@@ -1,13 +1,15 @@
-// Package wire is the versioned binary codec of the live DSM runtime's
-// message set. Every frame moved by a transport (in-process channel or
-// TCP) is one encoded Msg: a fixed two-byte header (version, kind)
-// followed by kind-dependent fields in little-endian fixed-width
-// encoding.
+// Package wire is the binary codec of the live DSM runtime's message
+// set. Every frame moved by a transport (in-process channel or TCP) is
+// one encoded Msg: a two-byte header (Version, Kind), the common fields
+// (sender, token, recovery epoch), then the kind's own fields in one
+// fixed order, all little-endian and fixed-width. The kinds table below
+// is the single statement of which fields each kind carries.
 //
-// Decode is strict and total: truncated frames, unknown versions or
-// kinds, oversized counts and trailing garbage all return an error and
-// never panic or allocate unboundedly — element counts are validated
-// against the bytes actually remaining before any slice is sized.
+// Decode is strict and total: truncated frames, a foreign version byte,
+// unknown kinds, oversized counts and trailing garbage all return an
+// error and never panic or allocate unboundedly — element counts are
+// validated against the bytes actually remaining before any slice is
+// sized.
 package wire
 
 import (
@@ -17,35 +19,13 @@ import (
 	"lrcdsm/internal/page"
 )
 
-// Version is the wire-format version stamped on every encoded frame.
-// Version 2 added the robustness message set (release acks, heartbeats,
-// aborts) and an Attempt retransmission counter on request kinds.
-// Version 3 added the recovery layer: a cluster Epoch fence on every
-// kind, the join/snapshot/resume kinds a restarted node uses to rejoin,
-// and a sender-episode stamp on KWriteNotices so homes can gate
-// post-checkpoint flushes during capture. Version 4 added the
-// decentralized synchronization plane: lock-request forwarding from a
-// lock's home to its probable owner, tree-barrier aggregation (an
-// episode stamp and aggregated notices on KBarArrive, plus the
-// KBarRelease fan-out kind), and on-demand per-writer interval-log
-// segment replication. Version 5 added the replicated control plane:
-// the consensus kinds (vote-req/vote-resp/append/append-ack) the
-// manager quorum elects leaders and commits commands with, the
-// not-leader redirect reply, the mgr-snap proposal carrying a barrier
-// episode's merged vector time to the leader, and a Term stamp on
-// KAbort so a deposed leader's stale abort verdicts are fenced.
-// Version 6 added the long-haul control plane: chunked consensus
-// snapshot installation (snap-install/snap-ack), with which a leader
-// brings a far-behind or freshly seeded replica up after compacting
-// its log, and the single-server membership-change RPC pair
-// (conf-change/conf-ack) that grows or shrinks the voting quorum
-// without a restart. Decode still accepts MinVersion frames — an old
-// frame simply has none of the newer fields and cannot carry the newer
-// kinds — so a rolling upgrade never wedges on the codec.
-const (
-	Version    = 6
-	MinVersion = 1
-)
+// Version is the format version stamped on every frame, and the only
+// one Decode accepts. Frames exist only in flight between the nodes of
+// one cluster, which run one build: they are never persisted (consensus
+// slots and checkpoints have codecs of their own), so there is no older
+// format to read. Change the value whenever the layout or the kind
+// numbering changes, so a frame from another build fails loudly.
+const Version = 7
 
 // MaxFrame is the largest frame Decode accepts (and Encode will produce
 // for any sane page size); a length-prefixed transport should enforce the
@@ -56,13 +36,12 @@ const MaxFrame = 16 << 20
 type Kind uint8
 
 // The live protocol's message set. Page and diff traffic flows between a
-// node and a page's home; lock and barrier traffic flows between a node
-// and the centralized manager on node 0.
+// node and a page's home; lock traffic between a node, the lock's home
+// and its current owner; barrier traffic along the barrier tree; manager
+// traffic to the replicated recovery manager's leader.
 const (
-	// KHello introduces a peer on a fresh transport connection.
-	KHello Kind = iota + 1
 	// KPageReq asks a page's home for a full current copy.
-	KPageReq
+	KPageReq Kind = iota + 1
 	// KPageReply returns the home's copy and its per-writer version.
 	KPageReply
 	// KDiffReq asks a page's home for the diffs the requester's copy is
@@ -72,39 +51,32 @@ const (
 	// its diff log past the requester's version, a full copy.
 	KDiffReply
 	// KWriteNotices flushes a closed interval's write notices and the
-	// diffs of the pages homed at the destination.
+	// diffs of the pages homed at the destination, stamped with the
+	// sender's barrier episode so homes can gate post-checkpoint flushes.
 	KWriteNotices
 	// KAck acknowledges a KWriteNotices flush.
 	KAck
-	// KLockReq asks the manager for a lock, carrying the requester's
+	// KLockReq asks a lock's home for the lock, carrying the requester's
 	// vector time.
 	KLockReq
 	// KLockGrant hands the lock to a requester with the release-time
 	// vector time and the write notices it is missing.
 	KLockGrant
-	// KLockRelease returns a lock to the manager, carrying the closed
-	// interval (if any) and the releaser's vector time.
-	KLockRelease
-	// KBarArrive joins a barrier, carrying the closed interval and the
-	// arriver's vector time.
+	// KBarArrive joins a barrier episode, carrying the closed interval,
+	// the arriver's vector time and the notices aggregated from its
+	// barrier subtree.
 	KBarArrive
 	// KBarDepart releases a node from a barrier with the merged vector
 	// time and the write notices it is missing.
 	KBarDepart
-
-	// Version 2 kinds (the robustness layer). firstV2Kind below must stay
-	// in sync with the first of them.
-
-	// KReleaseAck acknowledges a KLockRelease, making lock releases
-	// retryable RPCs instead of fire-and-forget sends.
-	KReleaseAck
 	// KHeartbeat is a node's periodic liveness beacon to the manager.
 	KHeartbeat
-	// KAbort broadcasts a fatal cluster abort with a structured reason.
+	// KAbort broadcasts a fatal cluster abort with a structured reason,
+	// stamped with the sender's term so a deposed leader's stale verdict
+	// is fenced.
 	KAbort
 
-	// Version 3 kinds (the recovery layer). firstV3Kind below must stay
-	// in sync with the first of them.
+	// Recovery: a restarted node's rejoin and the checkpoint traffic.
 
 	// KJoinReq is a restarted node's request to rejoin the cluster,
 	// carrying its new incarnation number and the newest checkpoint
@@ -131,8 +103,8 @@ const (
 	// episode across nodes.
 	KCkptDone
 
-	// Version 4 kinds (the decentralized synchronization plane).
-	// firstV4Kind below must stay in sync with the first of them.
+	// Decentralized synchronization: lock forwarding, the barrier tree's
+	// fan-out, and interval-log segment replication.
 
 	// KLockForward relays a lock request from the lock's home to its
 	// probable owner: Token and VT are the original requester's, ReqFrom
@@ -148,8 +120,7 @@ const (
 	// KLogSegResp returns the requested interval-log segment as notices.
 	KLogSegResp
 
-	// Version 5 kinds (the replicated control plane). firstV5Kind below
-	// must stay in sync with the first of them.
+	// Replicated control plane: the manager quorum's consensus traffic.
 
 	// KVoteReq is a candidate's request for a vote in Term, carrying the
 	// position (LogIndex, LogTerm) of its last replicated-log entry so
@@ -174,10 +145,6 @@ const (
 	// leader for quorum commit; the barrier root may not be the leader,
 	// so the snapshot travels as an RPC before releases fan out.
 	KMgrSnap
-
-	// Version 6 kinds (the long-haul control plane). firstV6Kind below
-	// must stay in sync with the first of them.
-
 	// KSnapInstall streams one chunk of the leader's consensus snapshot
 	// — the compacted committed prefix, folded into an encoded state
 	// image — to a replica too far behind its truncated log: LogIndex
@@ -201,44 +168,58 @@ const (
 	kindEnd
 )
 
-// firstV2Kind is the first kind that requires wire version 2; a v1 frame
-// claiming such a kind is rejected.
-const firstV2Kind = KReleaseAck
+// kinds names every kind and lists the fields it encodes, indexed by
+// Kind. Index 0 and any kind without an entry are invalid.
+var kinds = [kindEnd]struct {
+	name string
+	fs   fieldSet
+}{
+	KPageReq:      {"page-req", fieldSet{pg: true, attempt: true}},
+	KPageReply:    {"page-reply", fieldSet{pg: true, vt: true, data: true}},
+	KDiffReq:      {"diff-req", fieldSet{pg: true, vt: true, attempt: true}},
+	KDiffReply:    {"diff-reply", fieldSet{pg: true, vt: true, data: true, diffs: true}},
+	KWriteNotices: {"write-notices", fieldSet{episode: true, diffs: true, ival: true, attempt: true}},
+	KAck:          {"ack", fieldSet{}},
+	KLockReq:      {"lock-req", fieldSet{lock: true, vt: true, attempt: true}},
+	KLockGrant:    {"lock-grant", fieldSet{lock: true, vt: true, notices: true, diffs: true}},
+	KBarArrive:    {"bar-arrive", fieldSet{barrier: true, episode: true, vt: true, notices: true, ival: true, attempt: true}},
+	KBarDepart:    {"bar-depart", fieldSet{barrier: true, episode: true, vt: true, notices: true}},
+	KHeartbeat:    {"heartbeat", fieldSet{}},
+	KAbort:        {"abort", fieldSet{term: true, errstr: true}},
+	KJoinReq:      {"join-req", fieldSet{incarn: true, episode: true, attempt: true}},
+	KJoinGrant:    {"join-grant", fieldSet{incarn: true, episode: true, vt: true, chunk: true}},
+	KSnapReq:      {"snap-req", fieldSet{episode: true, chunk: true, attempt: true}},
+	KSnapChunk:    {"snap-chunk", fieldSet{episode: true, pg: true, chunk: true, vt: true, data: true}},
+	KSnapPush:     {"snap-push", fieldSet{episode: true, pg: true, chunk: true, vt: true, data: true, attempt: true}},
+	KResume:       {"resume", fieldSet{incarn: true, episode: true, attempt: true}},
+	KCkptDone:     {"ckpt-done", fieldSet{episode: true, attempt: true}},
+	KLockForward:  {"lock-forward", fieldSet{lock: true, reqfrom: true, vt: true}},
+	KBarRelease:   {"bar-release", fieldSet{barrier: true, episode: true, vt: true, notices: true}},
+	KLogSegReq:    {"log-seg-req", fieldSet{seg: true, attempt: true}},
+	KLogSegResp:   {"log-seg-resp", fieldSet{seg: true, notices: true}},
+	KVoteReq:      {"vote-req", fieldSet{term: true, logidx: true, logterm: true}},
+	KVoteResp:     {"vote-resp", fieldSet{term: true, flag: true}},
+	KAppend:       {"append", fieldSet{term: true, logidx: true, logterm: true, commit: true, entries: true}},
+	KAppendAck:    {"append-ack", fieldSet{term: true, logidx: true, flag: true}},
+	KNotLeader:    {"not-leader", fieldSet{term: true, leader: true}},
+	KMgrSnap:      {"mgr-snap", fieldSet{episode: true, vt: true, attempt: true}},
+	KSnapInstall:  {"snap-install", fieldSet{term: true, logidx: true, logterm: true, chunk: true, data: true}},
+	KSnapAck:      {"snap-ack", fieldSet{term: true, logidx: true, chunk: true, flag: true}},
+	KConfChange:   {"conf-change", fieldSet{flag: true, reqfrom: true, attempt: true}},
+	KConfAck:      {"conf-ack", fieldSet{flag: true, errstr: true}},
+}
 
-// firstV3Kind is the first kind that requires wire version 3.
-const firstV3Kind = KJoinReq
-
-// firstV4Kind is the first kind that requires wire version 4.
-const firstV4Kind = KLockForward
-
-// firstV5Kind is the first kind that requires wire version 5.
-const firstV5Kind = KVoteReq
-
-// firstV6Kind is the first kind that requires wire version 6.
-const firstV6Kind = KSnapInstall
-
-var kindNames = [...]string{
-	KHello: "hello", KPageReq: "page-req", KPageReply: "page-reply",
-	KDiffReq: "diff-req", KDiffReply: "diff-reply",
-	KWriteNotices: "write-notices", KAck: "ack",
-	KLockReq: "lock-req", KLockGrant: "lock-grant", KLockRelease: "lock-release",
-	KBarArrive: "bar-arrive", KBarDepart: "bar-depart",
-	KReleaseAck: "release-ack", KHeartbeat: "heartbeat", KAbort: "abort",
-	KJoinReq: "join-req", KJoinGrant: "join-grant",
-	KSnapReq: "snap-req", KSnapChunk: "snap-chunk", KSnapPush: "snap-push",
-	KResume: "resume", KCkptDone: "ckpt-done",
-	KLockForward: "lock-forward", KBarRelease: "bar-release",
-	KLogSegReq: "log-seg-req", KLogSegResp: "log-seg-resp",
-	KVoteReq: "vote-req", KVoteResp: "vote-resp",
-	KAppend: "append", KAppendAck: "append-ack",
-	KNotLeader: "not-leader", KMgrSnap: "mgr-snap",
-	KSnapInstall: "snap-install", KSnapAck: "snap-ack",
-	KConfChange: "conf-change", KConfAck: "conf-ack",
+// fieldsOf returns k's field set, or false for an invalid kind.
+func fieldsOf(k Kind) (fieldSet, bool) {
+	if k >= kindEnd || kinds[k].name == "" {
+		return fieldSet{}, false
+	}
+	return kinds[k].fs, true
 }
 
 func (k Kind) String() string {
-	if int(k) < len(kindNames) && kindNames[k] != "" {
-		return kindNames[k]
+	if _, ok := fieldsOf(k); ok {
+		return kinds[k].name
 	}
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
@@ -275,22 +256,21 @@ type Entry struct {
 	Cmd  []byte
 }
 
-// Msg is one live-protocol message. Only the fields relevant to its Kind
-// are encoded; see the per-kind field lists in encode.
+// Msg is one live-protocol message. Only the fields its Kind lists in
+// the kinds table are encoded.
 type Msg struct {
 	Kind  Kind
 	From  int32 // sending node
 	Token int64 // request/reply correlation (the request ID retries reuse)
 
 	// Attempt counts retransmissions of a request (0 on first send,
-	// saturating at 255). Version 2 only: a v1 frame decodes as Attempt 0.
+	// saturating at 255).
 	Attempt uint8
 
 	// Epoch is the cluster recovery epoch the sender belonged to when it
 	// sent the frame. Every rollback bumps the epoch, so a delayed frame
 	// from a node's previous incarnation — whose tokens restart at 1 and
-	// would otherwise collide — is fenced off at the receiver. Version 3
-	// only: an older frame decodes as Epoch 0.
+	// would otherwise collide — is fenced off at the receiver.
 	Epoch uint32
 
 	// Incarnation numbers a node's restarts (0 for the original engine);
@@ -307,8 +287,8 @@ type Msg struct {
 	Lo, Hi  int32  // interval-log segment range (Lo, Hi] (KLogSeg*)
 	Err     string // abort reason (KAbort)
 
-	// Consensus fields (version 5). Term also stamps KAbort so a
-	// deposed leader's stale abort is fenced at receivers.
+	// Consensus fields. Term also stamps KAbort so a deposed leader's
+	// stale abort is fenced at receivers.
 	Term     int64 // sender's current term (consensus kinds, KAbort)
 	LogIndex int64 // log position: last/prev/match index by kind
 	LogTerm  int64 // term of the entry at LogIndex (KVoteReq/KAppend)
@@ -320,92 +300,24 @@ type Msg struct {
 	Data     []byte  // full page image (page/diff replies)
 	Diffs    []Diff
 	Notices  []Notice
-	Interval *Interval // closed interval (release/arrive flushes)
+	Interval *Interval // closed interval (flushes, barrier arrivals)
 	Entries  []Entry   // replicated-log entries (KAppend)
 }
 
-// fieldSet describes which optional fields a kind encodes, so the codec
-// stays table-driven and every kind round-trips through one pair of
-// routines.
+// fieldSet lists the optional fields a kind encodes. Every kind
+// round-trips through the one Encode/Decode pair, which visit the fields
+// in the order declared here.
 type fieldSet struct {
-	lock, barrier, episode, pg     bool
-	vt, data, diffs, notices, ival bool
-	// attempt marks retryable request kinds; the field was added in
-	// version 2, so it is encoded always but decoded only from v2 frames.
-	attempt bool
-	errstr  bool
-	// episode3 marks kinds that gained the Episode field in version 3
-	// (the sender-episode stamp on flushes): encoded always, decoded only
-	// from v3 frames. Kinds that carried Episode since v1 use episode.
-	episode3 bool
-	// incarn and chunk are v3-only field groups on v3-only kinds, so they
-	// need no version gate of their own.
-	incarn bool
-	chunk  bool // Chunk + NChunks pair
-	// episode4 and notices4 mark fields version 4 added to a pre-v4 kind
-	// (the tree barrier's episode stamp and aggregated notices on
-	// KBarArrive): encoded always, decoded only from v4 frames.
-	episode4 bool
-	notices4 bool
-	// reqfrom and seg are v4-only field groups on v4-only kinds.
-	reqfrom bool
-	seg     bool // Lo + Hi pair
-	// term5 marks the Term stamp version 5 added to a pre-v5 kind
-	// (KAbort's fencing term): encoded always, decoded only from v5
-	// frames. The remaining groups sit on v5-only kinds and need no
-	// version gate of their own.
-	term5   bool
-	term    bool
-	logidx  bool
-	logterm bool
-	commit  bool
-	flag    bool
-	leader  bool
-	entries bool
-}
-
-var fields = map[Kind]fieldSet{
-	KHello:        {},
-	KPageReq:      {pg: true, attempt: true},
-	KPageReply:    {pg: true, vt: true, data: true},
-	KDiffReq:      {pg: true, vt: true, attempt: true},
-	KDiffReply:    {pg: true, vt: true, data: true, diffs: true},
-	KWriteNotices: {diffs: true, ival: true, attempt: true, episode3: true},
-	KAck:          {},
-	KLockReq:      {lock: true, vt: true, attempt: true},
-	KLockGrant:    {lock: true, vt: true, notices: true, diffs: true},
-	KLockRelease:  {lock: true, vt: true, ival: true, attempt: true},
-	KBarArrive:    {barrier: true, vt: true, ival: true, attempt: true, episode4: true, notices4: true},
-	KBarDepart:    {barrier: true, episode: true, vt: true, notices: true},
-	KReleaseAck:   {lock: true},
-	KHeartbeat:    {},
-	KAbort:        {errstr: true, term5: true},
-	KJoinReq:      {incarn: true, episode: true, attempt: true},
-	KJoinGrant:    {incarn: true, episode: true, vt: true, chunk: true},
-	KSnapReq:      {episode: true, chunk: true, attempt: true},
-	KSnapChunk:    {episode: true, pg: true, chunk: true, vt: true, data: true},
-	KSnapPush:     {episode: true, pg: true, chunk: true, vt: true, data: true, attempt: true},
-	KResume:       {incarn: true, episode: true, attempt: true},
-	KCkptDone:     {episode: true, attempt: true},
-	KLockForward:  {lock: true, reqfrom: true, vt: true},
-	KBarRelease:   {barrier: true, episode: true, vt: true, notices: true},
-	KLogSegReq:    {seg: true, attempt: true},
-	KLogSegResp:   {seg: true, notices: true},
-	KVoteReq:      {term: true, logidx: true, logterm: true},
-	KVoteResp:     {term: true, flag: true},
-	KAppend:       {term: true, logidx: true, logterm: true, commit: true, entries: true},
-	KAppendAck:    {term: true, logidx: true, flag: true},
-	KNotLeader:    {term: true, leader: true},
-	KMgrSnap:      {episode: true, vt: true, attempt: true},
-	KSnapInstall:  {term: true, logidx: true, logterm: true, chunk: true, data: true},
-	KSnapAck:      {term: true, logidx: true, chunk: true, flag: true},
-	KConfChange:   {flag: true, reqfrom: true, attempt: true},
-	KConfAck:      {flag: true, errstr: true},
+	attempt, incarn, chunk                      bool
+	term, logidx, logterm, commit, flag, leader bool
+	errstr, lock, reqfrom, seg, barrier         bool
+	episode, pg, vt, data, diffs, notices, ival bool
+	entries                                     bool
 }
 
 // Encode serializes m into a fresh buffer.
 func Encode(m *Msg) []byte {
-	fs, ok := fields[m.Kind]
+	fs, ok := fieldsOf(m.Kind)
 	if !ok {
 		panic(fmt.Sprintf("wire: encode of unknown kind %v", m.Kind))
 	}
@@ -425,7 +337,7 @@ func Encode(m *Msg) []byte {
 		w.i32(m.Chunk)
 		w.i32(m.NChunks)
 	}
-	if fs.term || fs.term5 {
+	if fs.term {
 		w.i64(m.Term)
 	}
 	if fs.logidx {
@@ -443,9 +355,6 @@ func Encode(m *Msg) []byte {
 	if fs.leader {
 		w.i32(m.Leader)
 	}
-	if fs.episode3 {
-		w.i64(m.Episode)
-	}
 	if fs.errstr {
 		w.bytes([]byte(m.Err))
 	}
@@ -462,7 +371,7 @@ func Encode(m *Msg) []byte {
 	if fs.barrier {
 		w.i32(m.Barrier)
 	}
-	if fs.episode || fs.episode4 {
+	if fs.episode {
 		w.i64(m.Episode)
 	}
 	if fs.pg {
@@ -480,7 +389,7 @@ func Encode(m *Msg) []byte {
 			w.diff(&m.Diffs[i])
 		}
 	}
-	if fs.notices || fs.notices4 {
+	if fs.notices {
 		w.u32(uint32(len(m.Notices)))
 		for i := range m.Notices {
 			n := &m.Notices[i]
@@ -517,37 +426,19 @@ func Decode(b []byte) (*Msg, error) {
 		return nil, fmt.Errorf("wire: frame of %d bytes exceeds MaxFrame", len(b))
 	}
 	r := reader{b: b}
-	v := r.u8()
-	if r.err == nil && (v < MinVersion || v > Version) {
-		return nil, fmt.Errorf("wire: unknown version %d", v)
+	if v := r.u8(); r.err == nil && v != Version {
+		return nil, fmt.Errorf("wire: version %d, want %d", v, Version)
 	}
 	k := Kind(r.u8())
-	fs, ok := fields[k]
+	fs, ok := fieldsOf(k)
 	if r.err == nil && !ok {
 		return nil, fmt.Errorf("wire: unknown kind %d", uint8(k))
-	}
-	if r.err == nil && v < 2 && k >= firstV2Kind {
-		return nil, fmt.Errorf("wire: kind %v requires version 2, frame is version %d", k, v)
-	}
-	if r.err == nil && v < 3 && k >= firstV3Kind {
-		return nil, fmt.Errorf("wire: kind %v requires version 3, frame is version %d", k, v)
-	}
-	if r.err == nil && v < 4 && k >= firstV4Kind {
-		return nil, fmt.Errorf("wire: kind %v requires version 4, frame is version %d", k, v)
-	}
-	if r.err == nil && v < 5 && k >= firstV5Kind {
-		return nil, fmt.Errorf("wire: kind %v requires version 5, frame is version %d", k, v)
-	}
-	if r.err == nil && v < 6 && k >= firstV6Kind {
-		return nil, fmt.Errorf("wire: kind %v requires version 6, frame is version %d", k, v)
 	}
 	m := &Msg{Kind: k}
 	m.From = r.i32()
 	m.Token = r.i64()
-	if v >= 3 {
-		m.Epoch = r.u32()
-	}
-	if fs.attempt && v >= 2 {
+	m.Epoch = r.u32()
+	if fs.attempt {
 		m.Attempt = r.u8()
 	}
 	if fs.incarn {
@@ -557,7 +448,7 @@ func Decode(b []byte) (*Msg, error) {
 		m.Chunk = r.i32()
 		m.NChunks = r.i32()
 	}
-	if fs.term || (fs.term5 && v >= 5) {
+	if fs.term {
 		m.Term = r.i64()
 	}
 	if fs.logidx {
@@ -574,9 +465,6 @@ func Decode(b []byte) (*Msg, error) {
 	}
 	if fs.leader {
 		m.Leader = r.i32()
-	}
-	if fs.episode3 && v >= 3 {
-		m.Episode = r.i64()
 	}
 	if fs.errstr {
 		if e := r.bytes(); len(e) > 0 {
@@ -596,7 +484,7 @@ func Decode(b []byte) (*Msg, error) {
 	if fs.barrier {
 		m.Barrier = r.i32()
 	}
-	if fs.episode || (fs.episode4 && v >= 4) {
+	if fs.episode {
 		m.Episode = r.i64()
 	}
 	if fs.pg {
@@ -614,7 +502,7 @@ func Decode(b []byte) (*Msg, error) {
 			m.Diffs = append(m.Diffs, r.diff())
 		}
 	}
-	if fs.notices || (fs.notices4 && v >= 4) {
+	if fs.notices {
 		n := r.count(12)
 		for i := 0; i < n && r.err == nil; i++ {
 			var nt Notice

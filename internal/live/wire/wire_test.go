@@ -28,7 +28,6 @@ func sampleMsgs() []*Msg {
 		{Term: 3, Cmd: nil},
 	}
 	return []*Msg{
-		{Kind: KHello, From: 3, Token: 1},
 		{Kind: KPageReq, From: 1, Token: 42, Page: 17},
 		{Kind: KPageReply, From: 0, Token: 42, Page: 17, VT: []int32{3, 1, 0, 9}, Data: bytes.Repeat([]byte{0xab}, 4096)},
 		{Kind: KDiffReq, From: 2, Token: 7, Page: 5, VT: []int32{0, 0, 2, 0}},
@@ -38,11 +37,10 @@ func sampleMsgs() []*Msg {
 		{Kind: KAck, From: 0, Token: 9},
 		{Kind: KLockReq, From: 3, Token: 10, Lock: 12, VT: []int32{0, 1, 2, 3}, Attempt: 2},
 		{Kind: KLockGrant, From: 0, Token: 10, Lock: 12, VT: []int32{5, 5, 5, 5}, Notices: notices, Diffs: diffs},
-		{Kind: KLockRelease, From: 3, Token: 11, Lock: 12, VT: []int32{6, 5, 5, 5}, Interval: ival},
-		{Kind: KLockRelease, From: 3, Token: 12, Lock: 0, VT: []int32{6, 5, 5, 5}}, // no interval
+		{Kind: KLockGrant, From: 0, Token: 14, Lock: 3, VT: []int32{1, 0, 0, 0}}, // first grant: nothing to catch up on
 		{Kind: KBarArrive, From: 2, Token: 13, Barrier: 1, Episode: 7, VT: []int32{1, 1, 1, 1}, Notices: notices, Interval: ival},
+		{Kind: KBarArrive, From: 3, Token: 15, Barrier: 1, Episode: 7, VT: []int32{1, 1, 1, 1}}, // leaf that wrote nothing
 		{Kind: KBarDepart, From: 0, Token: 13, Barrier: 1, Episode: 4, VT: []int32{2, 2, 2, 2}, Notices: notices},
-		{Kind: KReleaseAck, From: 0, Token: 11, Lock: 12},
 		{Kind: KHeartbeat, From: 2, Epoch: 3},
 		{Kind: KAbort, From: 0, Term: 7, Err: "manager: node 3 silent for 2s (pending: barrier 1)"},
 		{Kind: KJoinReq, From: 3, Token: 1, Epoch: 2, Incarnation: 1, Episode: -1, Attempt: 1},
@@ -56,12 +54,14 @@ func sampleMsgs() []*Msg {
 		{Kind: KBarRelease, From: 0, Token: 0, Epoch: 1, Barrier: 1, Episode: 9, VT: []int32{3, 3, 3, 3}, Notices: notices},
 		{Kind: KLogSegReq, From: 2, Token: 30, Epoch: 1, Lo: 4, Hi: 9, Attempt: 1},
 		{Kind: KLogSegResp, From: 1, Token: 30, Epoch: 1, Lo: 4, Hi: 9, Notices: notices},
+		{Kind: KLogSegResp, From: 1, Token: 33, Epoch: 1, Lo: 9, Hi: 9}, // empty segment
 		{Kind: KVoteReq, From: 2, Epoch: 1, Term: 5, LogIndex: 12, LogTerm: 4},
 		{Kind: KVoteResp, From: 1, Epoch: 1, Term: 5, Flag: 1},
 		{Kind: KAppend, From: 0, Epoch: 1, Term: 5, LogIndex: 12, LogTerm: 4, Commit: 10, Entries: entries},
 		{Kind: KAppend, From: 0, Epoch: 1, Term: 6, LogIndex: 14, LogTerm: 5, Commit: 14}, // pure heartbeat
 		{Kind: KAppendAck, From: 2, Epoch: 1, Term: 5, LogIndex: 14, Flag: 1},
 		{Kind: KNotLeader, From: 2, Token: 31, Epoch: 1, Term: 5, Leader: 1},
+		{Kind: KNotLeader, From: 2, Token: 34, Epoch: 1, Term: 5, Leader: -1}, // leader unknown
 		{Kind: KMgrSnap, From: 0, Token: 32, Epoch: 1, Episode: 9, VT: []int32{3, 3, 3, 3}, Attempt: 1},
 		{Kind: KSnapInstall, From: 0, Epoch: 1, Term: 6, LogIndex: 512, LogTerm: 5, Chunk: 1, NChunks: 3, Data: bytes.Repeat([]byte{0xc3}, 64)},
 		{Kind: KSnapAck, From: 2, Epoch: 1, Term: 6, LogIndex: 512, Chunk: 2, NChunks: 3, Flag: 1},
@@ -72,8 +72,14 @@ func sampleMsgs() []*Msg {
 }
 
 // TestRoundTrip encodes and decodes one message of every kind and
-// requires structural equality.
+// requires structural equality. It also fails for a kind constant that
+// has no kinds-table entry.
 func TestRoundTrip(t *testing.T) {
+	for k := Kind(1); k < kindEnd; k++ {
+		if kinds[k].name == "" {
+			t.Fatalf("kind %d has no entry in the kinds table", k)
+		}
+	}
 	seen := map[Kind]bool{}
 	for _, m := range sampleMsgs() {
 		seen[m.Kind] = true
@@ -86,7 +92,7 @@ func TestRoundTrip(t *testing.T) {
 			t.Errorf("%v: round trip mismatch:\n got %+v\nwant %+v", m.Kind, got, m)
 		}
 	}
-	for k := KHello; k < kindEnd; k++ {
+	for k := Kind(1); k < kindEnd; k++ {
 		if !seen[k] {
 			t.Errorf("no round-trip sample for kind %v", k)
 		}
@@ -142,276 +148,20 @@ func TestDecodeMalformed(t *testing.T) {
 	}
 }
 
-// cutV4 removes the v4-gated fields (the episode stamp and aggregated
-// notices version 4 added to KBarArrive) from a full encoding of m,
-// yielding the v3 layout of that kind. Offsets are computed from the
-// kind's field set; only simple pre-v4 kinds carry these flags.
-func cutV4(m *Msg, b []byte) []byte {
-	fs := fields[m.Kind]
-	if !fs.episode4 && !fs.notices4 {
-		return b
-	}
-	off := 18 // version, kind, from, token, epoch
-	if fs.attempt {
-		off++
-	}
-	if fs.lock {
-		off += 4
-	}
-	if fs.barrier {
-		off += 4
-	}
-	if fs.episode4 {
-		b = append(b[:off], b[off+8:]...)
-	}
-	if fs.notices4 {
-		if fs.vt {
-			off += 4 + 4*len(m.VT)
-		}
-		sz := 4
-		for _, n := range m.Notices {
-			sz += 12 + 4*len(n.Pages)
-		}
-		b = append(b[:off], b[off+sz:]...)
-	}
-	return b
-}
-
-// cutV5 removes the v5-gated fields (the fencing Term version 5 added
-// to KAbort) from a full encoding of m, yielding the v4 layout of that
-// kind. Only simple pre-v5 kinds carry the term5 flag.
-func cutV5(m *Msg, b []byte) []byte {
-	fs := fields[m.Kind]
-	if !fs.term5 {
-		return b
-	}
-	off := 18 // version, kind, from, token, epoch
-	if fs.attempt {
-		off++
-	}
-	if fs.incarn {
-		off += 4
-	}
-	if fs.chunk {
-		off += 8
-	}
-	return append(b[:off], b[off+8:]...)
-}
-
-// encodeV1 builds a version-1 frame for kinds that existed in v1: the
-// same layout as Encode minus the v4/v5-gated fields, the Attempt byte
-// version 2 added, and the Epoch word (plus, for flushes, the Episode
-// stamp) version 3 added. The v1-v3 cuts sit contiguously after the
-// (version, kind, from, token) prefix, so one cut suffices.
-func encodeV1(m *Msg) []byte {
-	b := cutV4(m, cutV5(m, Encode(m)))
-	b[0] = 1
-	fs := fields[m.Kind]
-	cut := 4 // Epoch
-	if fs.attempt {
-		cut++
-	}
-	if fs.episode3 {
-		cut += 8
-	}
-	return append(b[:14], b[14+cut:]...)
-}
-
-// encodeV2 builds a version-2 frame for kinds that existed in v2: the v3
-// layout minus the Epoch word and the v3 Episode stamp (Attempt stays).
-func encodeV2(m *Msg) []byte {
-	b := cutV4(m, cutV5(m, Encode(m)))
-	b[0] = 2
-	fs := fields[m.Kind]
-	b = append(b[:14], b[18:]...) // Epoch
-	if fs.episode3 {
-		off := 14
-		if fs.attempt {
-			off++
-		}
-		b = append(b[:off], b[off+8:]...)
-	}
-	return b
-}
-
-// encodeV3 builds a version-3 frame for kinds that existed in v3: the
-// full layout minus the v4- and v5-gated fields.
-func encodeV3(m *Msg) []byte {
-	b := cutV4(m, cutV5(m, Encode(m)))
-	b[0] = 3
-	return b
-}
-
-// encodeV4 builds a version-4 frame for kinds that existed in v4: the
-// full layout minus the v5-gated fields.
-func encodeV4(m *Msg) []byte {
-	b := cutV5(m, Encode(m))
-	b[0] = 4
-	return b
-}
-
-// TestDecodeV1Compat checks the versioning contract: a v1 frame of a v1
-// kind still decodes (with Attempt zero), while the v2-only kinds are
-// rejected when stamped as v1.
-func TestDecodeV1Compat(t *testing.T) {
+// TestDecodeRejectsOtherVersions stamps a valid frame of every kind
+// with each version byte other than Version: Decode must reject all of
+// them, since no other format exists to read.
+func TestDecodeRejectsOtherVersions(t *testing.T) {
 	for _, m := range sampleMsgs() {
-		if m.Kind >= firstV2Kind {
-			b := Encode(m)
-			b[0] = 1
-			if _, err := Decode(b); err == nil {
-				t.Errorf("%v: v2-only kind accepted in a v1 frame", m.Kind)
+		b := Encode(m)
+		for v := 0; v < 256; v++ {
+			if v == Version {
+				continue
 			}
-			continue
-		}
-		got, err := Decode(encodeV1(m))
-		if err != nil {
-			t.Errorf("%v: v1 frame rejected: %v", m.Kind, err)
-			continue
-		}
-		want := *m
-		want.Attempt = 0 // v1 frames have no Attempt field
-		want.Epoch = 0   // nor an Epoch
-		if fields[m.Kind].episode3 || fields[m.Kind].episode4 {
-			want.Episode = 0
-		}
-		if fields[m.Kind].notices4 {
-			want.Notices = nil
-		}
-		if !reflect.DeepEqual(&want, got) {
-			t.Errorf("%v: v1 round trip mismatch:\n got %+v\nwant %+v", m.Kind, got, &want)
-		}
-	}
-}
-
-// TestDecodeV2Compat checks the v3 versioning contract: a v2 frame of a
-// v2-or-older kind still decodes (with Epoch zero and, for flushes, no
-// Episode stamp), while the v3-only recovery kinds are rejected when
-// stamped as v2.
-func TestDecodeV2Compat(t *testing.T) {
-	for _, m := range sampleMsgs() {
-		if m.Kind >= firstV3Kind {
-			b := Encode(m)
-			b[0] = 2
-			if _, err := Decode(b); err == nil {
-				t.Errorf("%v: v3-only kind accepted in a v2 frame", m.Kind)
+			b[0] = byte(v)
+			if got, err := Decode(b); err == nil {
+				t.Fatalf("%v: frame stamped version %d decoded as %+v", m.Kind, v, got)
 			}
-			continue
-		}
-		got, err := Decode(encodeV2(m))
-		if err != nil {
-			t.Errorf("%v: v2 frame rejected: %v", m.Kind, err)
-			continue
-		}
-		want := *m
-		want.Epoch = 0 // v2 frames have no Epoch field
-		if fields[m.Kind].episode3 || fields[m.Kind].episode4 {
-			want.Episode = 0
-		}
-		if fields[m.Kind].notices4 {
-			want.Notices = nil
-		}
-		if fields[m.Kind].term5 {
-			want.Term = 0
-		}
-		if !reflect.DeepEqual(&want, got) {
-			t.Errorf("%v: v2 round trip mismatch:\n got %+v\nwant %+v", m.Kind, got, &want)
-		}
-	}
-}
-
-// TestDecodeV3Compat checks the v4 versioning contract: a v3 frame of a
-// v3-or-older kind still decodes (without the v4 barrier episode stamp
-// or aggregated notices), while the v4-only synchronization kinds are
-// rejected when stamped as v3.
-func TestDecodeV3Compat(t *testing.T) {
-	for _, m := range sampleMsgs() {
-		if m.Kind >= firstV4Kind {
-			b := Encode(m)
-			b[0] = 3
-			if _, err := Decode(b); err == nil {
-				t.Errorf("%v: v4-only kind accepted in a v3 frame", m.Kind)
-			}
-			continue
-		}
-		got, err := Decode(encodeV3(m))
-		if err != nil {
-			t.Errorf("%v: v3 frame rejected: %v", m.Kind, err)
-			continue
-		}
-		want := *m
-		if fields[m.Kind].episode4 {
-			want.Episode = 0
-		}
-		if fields[m.Kind].notices4 {
-			want.Notices = nil
-		}
-		if fields[m.Kind].term5 {
-			want.Term = 0
-		}
-		if !reflect.DeepEqual(&want, got) {
-			t.Errorf("%v: v3 round trip mismatch:\n got %+v\nwant %+v", m.Kind, got, &want)
-		}
-	}
-}
-
-// TestDecodeV4Compat checks the v5 versioning contract: a v4 frame of a
-// v4-or-older kind still decodes (with the fencing Term zero), while
-// the v5-only consensus kinds are rejected when stamped as v4.
-func TestDecodeV4Compat(t *testing.T) {
-	for _, m := range sampleMsgs() {
-		if m.Kind >= firstV5Kind {
-			b := Encode(m)
-			b[0] = 4
-			if _, err := Decode(b); err == nil {
-				t.Errorf("%v: v5-only kind accepted in a v4 frame", m.Kind)
-			}
-			continue
-		}
-		got, err := Decode(encodeV4(m))
-		if err != nil {
-			t.Errorf("%v: v4 frame rejected: %v", m.Kind, err)
-			continue
-		}
-		want := *m
-		if fields[m.Kind].term5 {
-			want.Term = 0
-		}
-		if !reflect.DeepEqual(&want, got) {
-			t.Errorf("%v: v4 round trip mismatch:\n got %+v\nwant %+v", m.Kind, got, &want)
-		}
-	}
-}
-
-// encodeV5 builds a version-5 frame for kinds that existed in v5.
-// Version 6 added no fields to pre-v6 kinds — only the four long-haul
-// control-plane kinds — so the v5 layout is the full layout restamped.
-func encodeV5(m *Msg) []byte {
-	b := Encode(m)
-	b[0] = 5
-	return b
-}
-
-// TestDecodeV5Compat checks the v6 versioning contract: a v5 frame of a
-// v5-or-older kind still decodes unchanged (v6 widened no existing
-// kind), while the v6-only snapshot-transfer and membership kinds are
-// rejected when stamped as v5.
-func TestDecodeV5Compat(t *testing.T) {
-	for _, m := range sampleMsgs() {
-		if m.Kind >= firstV6Kind {
-			b := Encode(m)
-			b[0] = 5
-			if _, err := Decode(b); err == nil {
-				t.Errorf("%v: v6-only kind accepted in a v5 frame", m.Kind)
-			}
-			continue
-		}
-		got, err := Decode(encodeV5(m))
-		if err != nil {
-			t.Errorf("%v: v5 frame rejected: %v", m.Kind, err)
-			continue
-		}
-		if !reflect.DeepEqual(m, got) {
-			t.Errorf("%v: v5 round trip mismatch:\n got %+v\nwant %+v", m.Kind, got, m)
 		}
 	}
 }
