@@ -1,12 +1,12 @@
 # Development targets. `make verify` runs everything CI runs: build, vet,
 # the project's own dsmlint analyzers, a short wire-codec fuzz run, the
-# race-enabled test suite, an invariant-checked simulation smoke test,
+# benchmark module's tests, the race-enabled test suite, an invariant-checked simulation smoke test,
 # and the live-runtime cluster tests (in-proc under the race detector,
 # plus a TCP loopback smoke run).
 
 GO ?= go
 
-.PHONY: build vet lint fuzz-smoke test race check-smoke live chaos recover failover scale-smoke serve serve-smoke endurance bench-live bench-scale bench-serve verify
+.PHONY: build vet lint fuzz-smoke test bench-test race check-smoke live chaos recover failover scale-smoke serve serve-smoke endurance bench-live bench-scale bench-serve verify
 
 build:
 	$(GO) build ./...
@@ -24,6 +24,12 @@ fuzz-smoke:
 
 test:
 	$(GO) test ./...
+
+# bench-test: the tests of the nested livebench module (comparator
+# verdicts, the workload spec against BENCHMARK.json, trace arithmetic),
+# which the root module's ./... never enters.
+bench-test:
+	cd livebench && $(GO) test ./...
 
 race:
 	$(GO) test -race ./...
@@ -160,4 +166,4 @@ bench-scale:
 	done
 	@wc -l BENCH_scale.json
 
-verify: build vet lint fuzz-smoke race check-smoke live chaos recover failover scale-smoke serve-smoke endurance
+verify: build vet lint fuzz-smoke bench-test race check-smoke live chaos recover failover scale-smoke serve-smoke endurance

@@ -268,18 +268,16 @@ func (c *Cluster) nodeConfig(npages int, homes []int32, rc *node.RecoverConfig) 
 // Run executes worker on every node concurrently and returns the run's
 // statistics. Shared memory must be allocated and initialized first; the
 // initial image is placed at each page's home, and all other nodes start
-// with no copies.
+// with no copies. A worker failure aborts the whole cluster at once,
+// except that a node killed through Kill dies like a separate process
+// would: its worker's own unwinding is not a failure, and the survivors
+// keep running until the manager's failure detector converts the
+// silence into the structured PeerDownError abort.
 func (c *Cluster) Run(worker func(core.Worker)) (*Stats, error) {
-	if c.ran {
-		return nil, fmt.Errorf("live: Cluster already ran")
+	npages, homes, err := c.begin()
+	if err != nil {
+		return nil, err
 	}
-	c.ran = true
-	if c.brk == 0 {
-		return nil, fmt.Errorf("live: no shared memory allocated")
-	}
-	npages := int(c.pageOf(c.brk-1)) + 1
-	homes := c.homeAssignment(npages)
-
 	trs := c.cfg.Transports
 	if c.cfg.Net != nil {
 		trs = c.cfg.Net.Transports()
@@ -287,9 +285,51 @@ func (c *Cluster) Run(worker func(core.Worker)) (*Stats, error) {
 	if trs == nil {
 		trs = transport.NewInprocNetwork(c.cfg.Nodes)
 	}
+	c.startNodes(trs, npages, homes, func(int) *node.RecoverConfig { return nil })
+
+	t0 := time.Now()
+	doneCh, errCh := c.launch(worker)
+	var errs []error
+wait:
+	for {
+		select {
+		case <-errCh:
+			select {
+			case <-c.crashCh:
+				// A killed node's worker unwound: leave the survivors to
+				// the failure detector's verdict.
+			default:
+				c.teardown()
+				errs = <-doneCh
+				break wait
+			}
+		case errs = <-doneCh:
+			break wait
+		}
+	}
+	return c.finish(homes, time.Since(t0), errs)
+}
+
+// begin marks the cluster used and lays its pages out at their homes.
+func (c *Cluster) begin() (npages int, homes []int32, err error) {
+	if c.ran {
+		return 0, nil, fmt.Errorf("live: Cluster already ran")
+	}
+	c.ran = true
+	if c.brk == 0 {
+		return 0, nil, fmt.Errorf("live: no shared memory allocated")
+	}
+	npages = int(c.pageOf(c.brk-1)) + 1
+	return npages, c.homeAssignment(npages), nil
+}
+
+// startNodes builds one engine per transport — rc gives node i's
+// recovery configuration, nil for none — installs them as the
+// cluster's current engines and starts them.
+func (c *Cluster) startNodes(trs []transport.Transport, npages int, homes []int32, rc func(i int) *node.RecoverConfig) {
 	nodes := make([]*node.Node, c.cfg.Nodes)
 	for i := range nodes {
-		nodes[i] = node.New(trs[i], c.nodeConfig(npages, homes, nil))
+		nodes[i] = node.New(trs[i], c.nodeConfig(npages, homes, rc(i)))
 	}
 	c.mu.Lock()
 	c.nodes = nodes
@@ -298,76 +338,94 @@ func (c *Cluster) Run(worker func(core.Worker)) (*Stats, error) {
 	for _, nd := range nodes {
 		nd.Start()
 	}
+}
 
-	// abort tears the cluster down once, so one node's failure unblocks
-	// every other node's waits instead of letting them ride out their
-	// RPC timeouts.
-	var abortOnce sync.Once
-	abort := func() {
-		abortOnce.Do(func() {
-			for _, nd := range c.nodes {
-				nd.Close()
-			}
-			for _, tr := range trs {
-				tr.Close()
-			}
-		})
-	}
+// engines returns the cluster's current engines (a restart swaps one).
+func (c *Cluster) engines() []*node.Node {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return append([]*node.Node(nil), c.nodes...)
+}
 
-	t0 := time.Now()
-	errs := make([]error, c.cfg.Nodes)
-	var wg sync.WaitGroup
-	for i, nd := range c.nodes {
-		wg.Add(1)
-		go func(i int, nd *node.Node) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					if re, ok := r.(interface{ Unwrap() error }); ok {
-						errs[i] = re.Unwrap()
-					} else {
-						errs[i] = fmt.Errorf("live: node %d worker panic: %v\n%s", i, r, debug.Stack())
+// launch starts one worker on each current engine. errCh fires once per
+// worker failure; doneCh fires once, with every worker's error, when the
+// whole round has unwound.
+func (c *Cluster) launch(worker func(core.Worker)) (doneCh chan []error, errCh chan int) {
+	doneCh = make(chan []error, 1)
+	errCh = make(chan int, c.cfg.Nodes)
+	nodes := c.engines()
+	go func() {
+		errs := make([]error, len(nodes))
+		var wg sync.WaitGroup
+		for i, nd := range nodes {
+			wg.Add(1)
+			go func(i int, nd *node.Node) {
+				defer wg.Done()
+				defer func() {
+					if r := recover(); r != nil {
+						if re, ok := r.(interface{ Unwrap() error }); ok {
+							errs[i] = re.Unwrap()
+						} else {
+							errs[i] = fmt.Errorf("live: node %d worker panic: %v\n%s", i, r, debug.Stack())
+						}
+						errCh <- i
 					}
-					abort()
-				}
-			}()
-			worker(nd)
-			// Flush the last interval so the homes hold final memory.
-			nd.FinalFlush()
-		}(i, nd)
-	}
-	wg.Wait()
-	elapsed := time.Since(t0)
+				}()
+				worker(nd)
+				// Flush the last interval so the homes hold final memory.
+				nd.FinalFlush()
+			}(i, nd)
+		}
+		wg.Wait()
+		doneCh <- errs
+	}()
+	return doneCh, errCh
+}
 
-	for _, nd := range c.nodes {
+// teardown closes every current engine and transport; it is idempotent.
+func (c *Cluster) teardown() {
+	c.mu.Lock()
+	nds := append([]*node.Node(nil), c.nodes...)
+	ts := append([]transport.Transport(nil), c.trs...)
+	c.mu.Unlock()
+	for _, nd := range nds {
+		nd.Close()
+	}
+	for _, tr := range ts {
+		tr.Close()
+	}
+}
+
+// finish ends a run whose workers returned errs: unless they or an
+// engine failed, it gathers the final image from the homes; then it
+// tears the cluster down and totals the engines' counters.
+func (c *Cluster) finish(homes []int32, elapsed time.Duration, errs []error) (*Stats, error) {
+	nodes := c.engines()
+	for _, nd := range nodes {
 		if err := nd.Err(); err != nil {
 			errs = append(errs, err)
 		}
 	}
 	firstErr := pickErr(errs)
 	if firstErr == nil {
-		// Gather the final image from the homes before teardown.
 		c.final = make([]byte, c.brk)
-		for pg := 0; pg < npages; pg++ {
-			img := c.nodes[homes[pg]].HomePage(page.ID(pg))
-			off := pg << c.pageShift
-			copy(c.final[off:], img)
+		for pg := range homes {
+			copy(c.final[pg<<c.pageShift:], nodes[homes[pg]].HomePage(page.ID(pg)))
 		}
 	}
-	abort()
-	for _, nd := range c.nodes {
+	c.teardown()
+	for _, nd := range nodes {
 		nd.Wait()
 	}
 	if firstErr != nil {
 		return nil, firstErr
 	}
-
 	st := &Stats{
 		Nodes:     c.cfg.Nodes,
 		Protocol:  c.cfg.Protocol.String(),
 		ElapsedNs: elapsed.Nanoseconds(),
 	}
-	for _, nd := range c.nodes {
+	for _, nd := range nodes {
 		s := nd.Stats()
 		st.PerNode = append(st.PerNode, s)
 		st.Total.Add(&s)

@@ -56,7 +56,7 @@ var (
 	// uncommitted: single-server changes are only safe one at a time.
 	ErrConfPending = errors.New("consensus: a membership change is already pending")
 	// ErrConfInvalid rejects a membership change naming a node outside
-	// the cluster or shrinking the voting set below a usable quorum.
+	// the cluster or leaving fewer than three voters.
 	ErrConfInvalid = errors.New("consensus: invalid membership change")
 )
 
@@ -605,8 +605,8 @@ func (r *Rep) Propose(cmd []byte, done func(error)) {
 
 // ProposeConf submits a single-server membership change: add (or
 // remove) node as a voter. At most one change may be uncommitted at a
-// time (ErrConfPending); a change that would shrink the voting set
-// below three or names a node outside the cluster is rejected
+// time (ErrConfPending); a change that would leave fewer than three
+// voters or names a node outside the cluster is rejected
 // (ErrConfInvalid). done fires like Propose's.
 func (r *Rep) ProposeConf(add bool, node int, done func(error)) {
 	r.submit(proposal{cmd: encodeConfCmd(add, node), conf: true, done: done})
@@ -857,9 +857,16 @@ func (r *Rep) confAllowed(add bool, nd int) error {
 	if r.confPending != 0 {
 		return ErrConfPending
 	}
-	if !add && r.voters[nd] && len(r.voters) <= 3 {
-		// Shrinking below three voters leaves a quorum that cannot
-		// survive the failures it exists for.
+	after := len(r.voters)
+	if add && !r.voters[nd] {
+		after++
+	} else if !add && r.voters[nd] {
+		after--
+	}
+	if after < 3 {
+		// Fewer than three voters is a quorum that cannot survive the
+		// failures it exists for — and a single-voter log, which has
+		// none to survive, cannot grow into one a voter at a time.
 		return ErrConfInvalid
 	}
 	return nil
@@ -1318,12 +1325,14 @@ func (r *Rep) installSnapshot(idx, tm int64, blob []byte) {
 	for _, v := range voters {
 		r.voters[int(v)] = true
 	}
+	// Count the install before the state becomes visible, so whoever
+	// observes the installed state also observes it counted.
+	bump(r.cfg.Counters.SnapInstalls)
 	if r.cfg.InstallState != nil {
 		r.cfg.InstallState(app)
 	}
 	r.fenced = false
 	r.persist()
-	bump(r.cfg.Counters.SnapInstalls)
 	r.updateInfo()
 }
 

@@ -58,10 +58,14 @@ func newHarnessOpt(t *testing.T, n int, timeout time.Duration, compactEvery int6
 		cut:          map[[2]int]bool{},
 		applied:      make([][]string, n),
 	}
+	// Build every replica before starting any: a started replica's
+	// sender reads h.reps.
 	for i := 0; i < n; i++ {
 		h.stables[i] = NewStable()
 		h.reps[i] = h.build(i, timeout)
-		h.reps[i].Start()
+	}
+	for _, r := range h.reps {
+		r.Start()
 	}
 	return h
 }

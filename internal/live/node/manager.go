@@ -20,17 +20,16 @@ import (
 // checkpoint confirmation tracking, snapshot replication, the
 // crash/rejoin handshake, and liveness sweeps.
 //
-// That authority is no longer pinned to node 0. When the manager quorum
-// is active (RecoverConfig.Consensus on a cluster of three or more),
-// every node runs a manager replica and the authoritative state lives
-// in a replicated state machine (mstate) driven by commands committed
-// on a consensus log (internal/live/consensus): the elected leader
-// serves requests by proposing the corresponding command and replying
-// only after commit, a non-leader replica answers every manager request
-// with KNotLeader and the current leader hint, and a leader crash
-// triggers an election instead of an abort. Without the quorum the
-// manager stays on node 0 and commands apply directly — same state
-// machine, no log.
+// There is one manager path. The authoritative state lives in a state
+// machine (mstate) driven by commands committed on a consensus log
+// (internal/live/consensus): the leader serves requests by proposing
+// the corresponding command and replying only after commit, and a
+// non-leader replica answers every manager request with KNotLeader and
+// the current leader hint. With recovery on three or more nodes every
+// node holds a replica, so a leader crash triggers an election instead
+// of an abort. Otherwise node 0 holds the only replica, as the log's
+// sole voter: it leads from the start, every command commits inside
+// its own append, and the log sends no frames.
 //
 // Requests are de-duplicated per client before any state changes: a
 // node's worker issues manager RPCs strictly sequentially with strictly
@@ -47,7 +46,7 @@ type manager struct {
 	nn int
 
 	// st is the replicated state machine; rep the consensus replica
-	// driving it (nil when the quorum is inactive).
+	// driving it.
 	st  *mstate
 	rep *consensus.Rep
 
@@ -223,21 +222,13 @@ func (g *manager) setJoinBlob(w int, blob []byte) {
 	}
 }
 
-// isLeader reports whether this replica currently serves manager
-// requests (trivially true without a quorum).
-func (g *manager) isLeader() bool {
-	return g.rep == nil || g.rep.Leader().IsLeader
-}
-
 func (g *manager) handle(m *wire.Msg) {
-	if g.rep != nil {
-		if info := g.rep.Leader(); !info.IsLeader {
-			g.n.send(int(m.From), &wire.Msg{
-				Kind: wire.KNotLeader, Token: m.Token,
-				Term: info.Term, Leader: int32(info.Leader),
-			})
-			return
-		}
+	if info := g.rep.Leader(); !info.IsLeader {
+		g.n.send(int(m.From), &wire.Msg{
+			Kind: wire.KNotLeader, Token: m.Token,
+			Term: info.Term, Leader: int32(info.Leader),
+		})
+		return
 	}
 	if g.dropDup(m) {
 		return
@@ -286,12 +277,7 @@ func (g *manager) reply(to int32, m *wire.Msg) {
 	g.cmu.Lock()
 	c := g.client(to, m.Token)
 	if m.Token <= c.lastTok {
-		// Cache a copy, not the outbound message itself: send rewrites
-		// envelope fields (From, Epoch) in place, and with a replicated
-		// manager this send runs on the consensus apply goroutine while
-		// the dispatcher may concurrently re-serve the cached reply.
-		cp := *m
-		c.cache(&cp)
+		c.cache(m)
 	}
 	g.cmu.Unlock()
 	g.n.send(int(to), m)
@@ -302,36 +288,19 @@ func (g *manager) reply(to int32, m *wire.Msg) {
 // restarts the whole exchange at the named leader — possibly this very
 // node — from a clean slate.
 func (g *manager) redirect(m *wire.Msg) {
-	ldr, term := g.n.id, int64(0)
-	if g.rep != nil {
-		info := g.rep.Leader()
-		ldr, term = info.Leader, info.Term
-	}
+	info := g.rep.Leader()
 	g.n.send(int(m.From), &wire.Msg{
-		Kind: wire.KNotLeader, Token: m.Token, Term: term, Leader: int32(ldr),
+		Kind: wire.KNotLeader, Token: m.Token, Term: info.Term, Leader: int32(info.Leader),
 	})
 }
 
 // ---- command plumbing ----
 
-// propose routes a command through the replicated log when the quorum
-// is active — done fires from the consensus goroutine after the commit
-// applied locally — or applies it directly and fires done synchronously
-// when it is not.
-func (g *manager) propose(cmd []byte, done func(error)) {
-	if g.rep == nil {
-		done(g.applyCmd(cmd))
-		return
-	}
-	g.rep.Propose(cmd, done)
-}
-
 // applyCmd decodes and applies one committed command, then performs the
 // per-replica side effects that hang off it: persisting the manager's
 // half of a checkpoint to this replica's own store, and re-arming
 // leader-local serving state on reset/resume. Runs on the consensus
-// goroutine (every replica, in log order) or synchronously on the
-// dispatcher when the quorum is inactive.
+// goroutine, on every replica, in log order.
 func (g *manager) applyCmd(cmd []byte) error {
 	c, err := decodeCmd(cmd)
 	if err != nil {
@@ -400,7 +369,7 @@ func (g *manager) commitReply(from int32, build func() *wire.Msg) func(error) {
 // snapshot for an episode, acknowledged once the confirmation commits.
 func (g *manager) ckptDone(m *wire.Msg) {
 	from, tok := m.From, m.Token
-	g.propose(encodeCkptDone(m.From, m.Episode), g.commitReply(from, func() *wire.Msg {
+	g.rep.Propose(encodeCkptDone(m.From, m.Episode), g.commitReply(from, func() *wire.Msg {
 		return &wire.Msg{Kind: wire.KAck, Token: tok}
 	}))
 }
@@ -410,7 +379,7 @@ func (g *manager) ckptDone(m *wire.Msg) {
 // the leader is). The root holds the episode's releases until this ack.
 func (g *manager) mgrSnap(m *wire.Msg) {
 	from, tok := m.From, m.Token
-	g.propose(encodeMgrSnap(m.Episode, m.VT), g.commitReply(from, func() *wire.Msg {
+	g.rep.Propose(encodeMgrSnap(m.Episode, m.VT), g.commitReply(from, func() *wire.Msg {
 		return &wire.Msg{Kind: wire.KAck, Token: tok}
 	}))
 }
@@ -465,7 +434,7 @@ func (g *manager) snapPush(m *wire.Msg) {
 func (g *manager) joinReq(m *wire.Msg) {
 	w := int(m.From)
 	from, tok, inc := m.From, m.Token, m.Incarnation
-	g.propose(encodeJoin(m.From, inc), g.commitReply(from, func() *wire.Msg {
+	g.rep.Propose(encodeJoin(m.From, inc), g.commitReply(from, func() *wire.Msg {
 		k, rvt := g.st.resumePoint()
 		reply := &wire.Msg{
 			Kind: wire.KJoinGrant, Token: tok,
@@ -520,7 +489,7 @@ func (g *manager) snapReq(m *wire.Msg) {
 // committed so every replica agrees the peer is live again.
 func (g *manager) resume(m *wire.Msg) {
 	from, tok := m.From, m.Token
-	g.propose(encodeResume(m.From), g.commitReply(from, func() *wire.Msg {
+	g.rep.Propose(encodeResume(m.From), g.commitReply(from, func() *wire.Msg {
 		return &wire.Msg{Kind: wire.KAck, Token: tok}
 	}))
 }
@@ -528,17 +497,11 @@ func (g *manager) resume(m *wire.Msg) {
 // confChange commits a single-server voting-membership change (add or
 // remove the replica named by ReqFrom) through the consensus log. The
 // leader rejects a second change while one is uncommitted, and a change
-// that would shrink the quorum below usefulness, with a reasoned
-// KConfAck; transient leadership errors are dropped so the client's
+// that would leave fewer than three voters, with a reasoned KConfAck;
+// transient leadership errors are dropped so the client's
 // retransmission re-resolves the leader.
 func (g *manager) confChange(m *wire.Msg) {
 	from, tok := m.From, m.Token
-	if g.rep == nil {
-		g.reply(from, &wire.Msg{
-			Kind: wire.KConfAck, Token: tok, Err: "manager: no consensus quorum active",
-		})
-		return
-	}
 	g.rep.ProposeConf(m.Flag == 1, int(m.ReqFrom), func(err error) {
 		if err != nil {
 			if errors.Is(err, consensus.ErrNotLeader) || errors.Is(err, consensus.ErrDeposed) ||
@@ -570,25 +533,22 @@ func (g *manager) heard(w int) {
 // stamps mean anything, and a deposed leader's verdict frames are
 // term-fenced by the receivers. A leader that cannot hear a majority
 // withholds verdicts entirely — it is probably the partitioned one, and
-// the quorum's next leader will judge it instead.
+// the next leader will judge it instead. The majority is of the voting
+// set, so a sole voter always judges.
 func (g *manager) checkLiveness() {
-	if !g.isLeader() {
+	info := g.rep.Leader()
+	if !info.IsLeader {
 		return
 	}
 	now := time.Now().UnixNano()
-	if g.rep != nil {
-		heard := 1 // self
-		for w := 0; w < g.nn; w++ {
-			if w == g.n.id {
-				continue
-			}
-			if time.Duration(now-atomic.LoadInt64(&g.n.lastHeard[w])) <= g.n.cfg.HeartbeatTimeout {
-				heard++
-			}
+	heard := 0
+	for _, w := range info.Voters {
+		if w == g.n.id || time.Duration(now-atomic.LoadInt64(&g.n.lastHeard[w])) <= g.n.cfg.HeartbeatTimeout {
+			heard++
 		}
-		if heard <= g.nn/2 {
-			return
-		}
+	}
+	if 2*heard <= len(info.Voters) {
+		return
 	}
 	for w := 0; w < g.nn; w++ {
 		if w == g.n.id {

@@ -19,16 +19,17 @@
 // rooted at node 0 and release down it, and the write notices a grant
 // or release carries come from per-writer interval logs — each node
 // keeps its own log authoritatively and peers replicate segments on
-// demand. Node 0 retains only the recovery manager (join/checkpoint
-// coordination) and the liveness monitor.
+// demand. What stays coordinated is the recovery manager
+// (join/checkpoint coordination) and the liveness monitor, run by the
+// leader of a consensus log (see manager.go).
 //
 // Each node runs three goroutine roles: the worker (application code,
 // calling the core.Worker operations), a pump draining the transport
 // (routing replies straight to waiting requesters), and a dispatcher
-// serving requests (page fetches, diff pulls, flushes, and — on node
-// 0 — the manager). Workers never hold the node mutex across a message
-// wait, and only the worker invalidates its own pages, so faults cannot
-// race an invalidation.
+// serving requests (page fetches, diff pulls, flushes, and — on the
+// manager log's leader — the manager). Workers never hold the node
+// mutex across a message wait, and only the worker invalidates its own
+// pages, so faults cannot race an invalidation.
 package node
 
 import (
@@ -97,9 +98,11 @@ type Config struct {
 	HeartbeatInterval time.Duration
 	HeartbeatTimeout  time.Duration
 	// Recover, when non-nil, enables barrier-aligned checkpointing and
-	// the crash/rejoin protocol (see recover.go). Nil keeps the node's
-	// behaviour identical to a recovery-free build: no epoch fencing, no
-	// checkpoint capture, and peer death aborts the cluster.
+	// the crash/rejoin protocol (see recover.go), and on three or more
+	// nodes replicates the manager log across every node. Nil keeps the
+	// node's behaviour identical to a recovery-free build: no epoch
+	// fencing, no checkpoint capture, node 0 runs the manager as a
+	// single-voter log, and peer death aborts the cluster.
 	Recover *RecoverConfig
 }
 
@@ -185,14 +188,14 @@ type Node struct {
 	pending map[int64]chan *wire.Msg
 	nextTok int64
 
-	// mgr is non-nil on node 0 (the static manager) and, when the
-	// manager quorum is active, on every node (each holds a replica;
-	// the elected leader serves).
+	// mgr is non-nil on every node that holds a manager replica (see
+	// New): all of them when recovery runs on three or more nodes (the
+	// elected leader serves), else node 0 alone, as a single voter.
 	mgr *manager
 
-	// leaderHint is this node's cache of the manager quorum's current
+	// leaderHint is this node's cache of the manager log's current
 	// leader, updated by the local replica's leadership changes and by
-	// KNotLeader redirects. Always 0 when the quorum is inactive.
+	// KNotLeader redirects. Always 0 under a single-voter log.
 	leaderHint atomic.Int32
 
 	// repOut holds one buffered outbound lane per peer for consensus
@@ -282,80 +285,98 @@ func New(tr transport.Transport, cfg Config) *Node {
 		ps.homeVT = vc.New(n.nn)
 		ps.logBase = vc.New(n.nn)
 	}
-	if n.id == 0 || n.consensusOn() {
-		n.mgr = newManager(n)
-		n.lastHeard = make([]int64, n.nn)
-		n.hbCheck = make(chan struct{}, 1)
+	// Which nodes hold a manager replica, and which of them vote, is
+	// decided here, once. With recovery on three or more nodes every
+	// node holds one (voters rc.Voters, or all nodes), so a crashed
+	// coordinator fails over. Otherwise node 0 alone holds one and is its
+	// sole voter: the log commits inside the leader's own append and
+	// sends no frames, so the other nodes carry no replica work at all.
+	var rc RecoverConfig
+	if cfg.Recover != nil {
+		rc = *cfg.Recover
 	}
-	if n.consensusOn() {
-		rc := cfg.Recover
-		n.leaderHint.Store(int32(rc.LeaderHint))
-		// The election timeout rides the failure-detection budget: well
-		// under the heartbeat timeout, so a failover completes before
-		// anyone's silence verdict could fire, but long enough that a
-		// busy leader's appends keep elections quiet.
-		et := n.cfg.HeartbeatTimeout / 4
-		if et < 100*time.Millisecond {
-			et = 100 * time.Millisecond
+	replicated := cfg.Recover != nil && n.nn >= 3
+	if !replicated {
+		if n.id != 0 {
+			return n
 		}
-		// Outbound consensus frames go through one buffered lane per
-		// peer, drained by a dedicated goroutine: a send to a dead peer
-		// can stall in the transport's dial retries for hundreds of
-		// milliseconds, and the replica's event loop must never block on
-		// it (a candidate stuck dialing the dead leader cannot collect
-		// votes, and every survivor stalling in lock-step livelocks the
-		// election). Per-peer lanes preserve per-peer ordering; a full
-		// lane drops, like the wire would — the protocol is self-retrying.
+		rc.Voters, rc.LeaderHint = []int{0}, 0
+	}
+	if rc.Consensus == nil {
+		rc.Consensus = consensus.NewStable()
+	}
+	n.mgr = newManager(n)
+	n.lastHeard = make([]int64, n.nn)
+	n.hbCheck = make(chan struct{}, 1)
+	n.leaderHint.Store(int32(rc.LeaderHint))
+	// The election timeout rides the failure-detection budget: well
+	// under the heartbeat timeout, so a failover completes before
+	// anyone's silence verdict could fire, but long enough that a busy
+	// leader's appends keep elections quiet.
+	et := n.cfg.HeartbeatTimeout / 4
+	if et < 100*time.Millisecond {
+		et = 100 * time.Millisecond
+	}
+	// Outbound consensus frames go through one buffered lane per peer
+	// replica, drained by a dedicated goroutine: a send to a dead peer
+	// can stall in the transport's dial retries for hundreds of
+	// milliseconds, and the replica's event loop must never block on it
+	// (a candidate stuck dialing the dead leader cannot collect votes,
+	// and every survivor stalling in lock-step livelocks the election).
+	// Per-peer lanes preserve per-peer ordering; a full lane drops, like
+	// the wire would — the protocol is self-retrying. A sole voter
+	// addresses no peer and gets no lanes.
+	if replicated {
 		n.repOut = make([]chan *wire.Msg, n.nn)
 		for p := range n.repOut {
 			if p != n.id {
 				n.repOut[p] = make(chan *wire.Msg, 64)
 			}
 		}
-		// Compaction is on by default: an unbounded runtime must hold a
-		// bounded log. Negative disables it (tests that want full replay).
-		ce := rc.CompactEvery
-		if ce == 0 {
-			ce = 512
-		} else if ce < 0 {
-			ce = 0
-		}
-		n.mgr.rep = consensus.New(consensus.Config{
-			Self:            n.id,
-			N:               n.nn,
-			Voters:          rc.Voters,
-			ElectionTimeout: et,
-			Seed:            rc.Seed + int64(rc.Incarnation)*7919,
-			CompactEvery:    ce,
-			Send:            n.consensusSend,
-			Apply: func(_ int64, cmd []byte) {
-				if err := n.mgr.applyCmd(cmd); err != nil {
-					n.abortCluster(err)
-				}
-			},
-			SnapshotState: func() []byte { return n.mgr.st.encodeState() },
-			InstallState: func(app []byte) {
-				if err := n.mgr.st.restoreState(app); err != nil {
-					n.abortCluster(err)
-				}
-			},
-			LeaderChange: func(_ int64, leader int, _ bool) {
-				if leader >= 0 {
-					n.leaderHint.Store(int32(leader))
-				}
-			},
-			Bootstrap: true, // ignored once the Stable slot holds a term
-			Counters: consensus.Counters{
-				Terms:        &n.stats.ConsensusTerms,
-				Elections:    &n.stats.ConsensusElections,
-				Commits:      &n.stats.ConsensusCommits,
-				Compactions:  &n.stats.ConsensusCompactions,
-				SnapInstalls: &n.stats.ConsensusSnapInstalls,
-				ConfChanges:  &n.stats.ConsensusConfChanges,
-				Quarantines:  &n.stats.ConsensusSlotQuarantines,
-			},
-		}, rc.Consensus)
 	}
+	// Compaction is on by default: an unbounded runtime must hold a
+	// bounded log. Negative disables it (tests that want full replay).
+	ce := rc.CompactEvery
+	if ce == 0 {
+		ce = 512
+	} else if ce < 0 {
+		ce = 0
+	}
+	n.mgr.rep = consensus.New(consensus.Config{
+		Self:            n.id,
+		N:               n.nn,
+		Voters:          rc.Voters,
+		ElectionTimeout: et,
+		Seed:            rc.Seed + int64(rc.Incarnation)*7919,
+		CompactEvery:    ce,
+		Send:            n.consensusSend,
+		Apply: func(_ int64, cmd []byte) {
+			if err := n.mgr.applyCmd(cmd); err != nil {
+				n.abortCluster(err)
+			}
+		},
+		SnapshotState: func() []byte { return n.mgr.st.encodeState() },
+		InstallState: func(app []byte) {
+			if err := n.mgr.st.restoreState(app); err != nil {
+				n.abortCluster(err)
+			}
+		},
+		LeaderChange: func(_ int64, leader int, _ bool) {
+			if leader >= 0 {
+				n.leaderHint.Store(int32(leader))
+			}
+		},
+		Bootstrap: true, // ignored once the Stable slot holds a term
+		Counters: consensus.Counters{
+			Terms:        &n.stats.ConsensusTerms,
+			Elections:    &n.stats.ConsensusElections,
+			Commits:      &n.stats.ConsensusCommits,
+			Compactions:  &n.stats.ConsensusCompactions,
+			SnapInstalls: &n.stats.ConsensusSnapInstalls,
+			ConfChanges:  &n.stats.ConsensusConfChanges,
+			Quarantines:  &n.stats.ConsensusSlotQuarantines,
+		},
+	}, rc.Consensus)
 	return n
 }
 
@@ -365,7 +386,7 @@ func New(tr transport.Transport, cfg Config) *Node {
 // self-retrying — but never silently: ConsensusLaneDrops counts every
 // discarded frame so sustained backpressure is visible in the stats.
 func (n *Node) consensusSend(to int, m *wire.Msg) {
-	if to < 0 || to >= n.nn || to == n.id || n.repOut[to] == nil {
+	if to < 0 || to >= len(n.repOut) || to == n.id || n.repOut[to] == nil {
 		return
 	}
 	select {
@@ -375,24 +396,16 @@ func (n *Node) consensusSend(to int, m *wire.Msg) {
 	}
 }
 
-// consensusOn reports whether this node participates in the replicated
-// manager quorum: a durable replica slot is configured and the cluster
-// has at least three nodes (a two-node "quorum" cannot outlive the very
-// failure it exists to survive, so the static node-0 manager is kept).
-func (n *Node) consensusOn() bool {
-	rc := n.cfg.Recover
-	return rc != nil && rc.Consensus != nil && n.nn >= 3
-}
-
-// Start launches the node's pump and dispatcher goroutines, plus the
-// liveness machinery on clusters of more than one node: every non-zero
-// node beats a heartbeat at the manager, and the manager sweeps for
-// silent peers.
+// Start launches the node's pump and dispatcher goroutines and its
+// manager replica, if it holds one, plus the liveness machinery on
+// clusters of more than one node: every node but a sole voter beats a
+// heartbeat at the manager log's leader, and every replica sweeps for
+// silent peers while it leads.
 func (n *Node) Start() {
 	n.wg.Add(2)
 	go n.pump()
 	go n.dispatch()
-	if g := n.mgr; g != nil && g.rep != nil {
+	if g := n.mgr; g != nil {
 		g.rep.Start()
 		for p, lane := range n.repOut {
 			if lane == nil {
@@ -430,17 +443,16 @@ func (n *Node) Start() {
 			n.wg.Add(1)
 			go n.monitor()
 		}
-		if !n.consensusOn() {
-			return // the static manager never beacons
+		if v := n.mgr.rep.Leader().Voters; len(v) == 1 && v[0] == n.id {
+			return // a sole voter leads for good: it has no one to beacon
 		}
 	}
 	n.wg.Add(1)
 	go n.heartbeat()
 }
 
-// heartbeat beats a periodic liveness beacon at the manager until
-// shutdown: node 0 classically, the quorum's current leader when the
-// replicated manager is active (a beacon to itself is skipped while
+// heartbeat beats a periodic liveness beacon at the manager log's
+// current leader until shutdown (a beacon to itself is skipped while
 // this node leads). Losses are tolerated: the manager's timeout spans
 // many intervals, so only sustained silence — a dead or partitioned
 // node — trips detection.
@@ -1030,8 +1042,8 @@ func (n *Node) awaitRetry(to int, m *wire.Msg, ch chan *wire.Msg) *wire.Msg {
 // retransmitting on the same jittered schedule as rpc but returning
 // (nil, false) on expiry instead of failing the run — for callers that
 // re-resolve their target and retry as a fresh request (mgrRPC chasing
-// the quorum's leader). The pending token is withdrawn on expiry, so a
-// straggling reply is dropped as a duplicate. The request's token is
+// the manager log's leader). The pending token is withdrawn on expiry,
+// so a straggling reply is dropped as a duplicate. The request's token is
 // stamped into lane (see laneShift), so concurrent requesters — the
 // worker on lane 0, the supervisor's membership RPCs on confLane — each
 // keep their own monotonic dedup window at the receiver.
@@ -1119,21 +1131,20 @@ func (n *Node) trySend(to int, m *wire.Msg) {
 	panic(runError{fmt.Errorf("node %d: %v to %d aborted: %w", n.id, m.Kind, to, err)})
 }
 
-// send encodes and transmits m. Messages to self bypass the transport:
-// replies are routed to their waiter, requests join the dispatcher
-// queue (node 0's worker talking to its own manager).
+// send encodes and transmits m. It never writes to m: the envelope
+// (From, Epoch) is stamped on a shallow copy, so one message — a cached
+// reply, say — may be sent from several goroutines at once. Messages to
+// self bypass the transport: replies are routed to their waiter,
+// requests join the dispatcher queue (the manager leader's own worker
+// talking to it).
 func (n *Node) send(to int, m *wire.Msg) error {
-	m.From = int32(n.id)
-	if n.cfg.Recover != nil {
-		m.Epoch = n.epoch.Load()
-	}
 	if to == n.id {
 		atomic.AddInt64(&n.stats.MsgsSent, 1)
 		atomic.AddInt64(&n.stats.MsgsRecv, 1)
-		// Deliver a shallow copy: a retransmission mutates the sender's
-		// Msg (From, Attempt) while the dispatcher may still hold this
-		// delivery, exactly as a wire transport would re-encode it.
-		mc := *m
+		// The dispatcher may still hold this delivery when a
+		// retransmission mutates the sender's Msg (Attempt), exactly as a
+		// wire transport would re-encode it: deliver the copy.
+		mc := n.stamp(m)
 		if isReply(mc.Kind) {
 			n.routeReply(&mc)
 			return nil
@@ -1145,7 +1156,8 @@ func (n *Node) send(to int, m *wire.Msg) error {
 			return transport.ErrClosed
 		}
 	}
-	b := wire.Encode(m)
+	mc := n.stamp(m)
+	b := wire.Encode(&mc)
 	atomic.AddInt64(&n.stats.MsgsSent, 1)
 	atomic.AddInt64(&n.stats.BytesSent, int64(len(b)))
 	if len(m.Data) > 0 {
@@ -1162,6 +1174,16 @@ func (n *Node) send(to int, m *wire.Msg) error {
 	// the requester retries, and a genuinely dead peer is converted into
 	// a clean abort by the RPC timeout or the manager's failure detector.
 	return n.tr.Send(to, b)
+}
+
+// stamp returns a shallow copy of m carrying this node's envelope.
+func (n *Node) stamp(m *wire.Msg) wire.Msg {
+	mc := *m
+	mc.From = int32(n.id)
+	if n.cfg.Recover != nil {
+		mc.Epoch = n.epoch.Load()
+	}
+	return mc
 }
 
 func (n *Node) routeReply(m *wire.Msg) {
@@ -1218,7 +1240,7 @@ func (n *Node) pump() {
 		switch m.Kind {
 		case wire.KVoteReq, wire.KVoteResp, wire.KAppend, wire.KAppendAck,
 			wire.KSnapInstall, wire.KSnapAck:
-			if g := n.mgr; g != nil && g.rep != nil {
+			if g := n.mgr; g != nil {
 				g.rep.Deliver(m)
 			}
 			continue
@@ -1272,7 +1294,7 @@ func (n *Node) handle(m *wire.Msg) {
 	case wire.KAbort:
 		// Term fence: a deposed leader's stale silence verdict must not
 		// kill a cluster that already moved on to a newer term.
-		if g := n.mgr; g != nil && g.rep != nil && m.Term > 0 && m.Term < g.rep.Leader().Term {
+		if g := n.mgr; g != nil && m.Term > 0 && m.Term < g.rep.Leader().Term {
 			atomic.AddInt64(&n.stats.StaleFrames, 1)
 			return
 		}
@@ -1290,7 +1312,11 @@ func (n *Node) handle(m *wire.Msg) {
 	case wire.KJoinReq, wire.KSnapReq, wire.KSnapPush, wire.KResume, wire.KCkptDone, wire.KMgrSnap,
 		wire.KConfChange:
 		if n.mgr == nil {
-			n.fail(fmt.Errorf("node %d: manager message %v at non-manager", n.id, m.Kind))
+			// No replica here: a requester rotating through silence
+			// reached this node. Point it back at the leader.
+			n.send(int(m.From), &wire.Msg{
+				Kind: wire.KNotLeader, Token: m.Token, Leader: n.leaderHint.Load(),
+			})
 			return
 		}
 		n.mgr.handle(m)

@@ -26,8 +26,9 @@ const keepCheckpoints = 4
 // RecoverConfig enables barrier-aligned checkpointing and the
 // crash/rejoin protocol on a node.
 type RecoverConfig struct {
-	// Store receives this node's snapshots. On the manager it also holds
-	// the manager snapshots and, with Replicate, the peers' replicas.
+	// Store receives this node's snapshots. On a manager replica it also
+	// holds the manager snapshots and, with Replicate, the peers'
+	// replicas.
 	Store ckpt.Store
 	// Every takes a checkpoint at each barrier episode divisible by it;
 	// non-positive disables capture (the epoch fence stays active).
@@ -44,17 +45,18 @@ type RecoverConfig struct {
 	// true to hand the failure to the supervisor (the peer is marked
 	// recovering and the cluster keeps running), false to abort as a
 	// recovery-free cluster would. Called on the dispatcher goroutine;
-	// it must not block. With the quorum active, set it on every node —
-	// any replica can be elected to judge.
+	// it must not block. Set it on every node: any replica can be
+	// elected to judge.
 	OnPeerDown func(err *PeerDownError) bool
 
-	// Consensus, when non-nil on a cluster of three or more nodes,
-	// activates the replicated manager: this node runs a consensus
-	// replica over the given durable slot (term, vote, log), manager
-	// requests chase the elected leader, and a manager crash fails over
-	// instead of aborting. The supervisor owns the slots so a restarted
-	// incarnation resumes from its persisted term and can never vote
-	// twice in one term.
+	// Consensus is the durable slot (term, vote, log) of this node's
+	// manager replica; nil takes a fresh in-memory slot. Which nodes
+	// hold a replica is fixed by the cluster size: on three or more
+	// nodes every node does — manager requests chase the elected leader
+	// and a manager crash fails over instead of aborting — and below
+	// that node 0 alone does, as a single voter. The supervisor owns the
+	// slots so a restarted incarnation resumes from its persisted term
+	// and can never vote twice in one term.
 	Consensus *consensus.Stable
 	// LeaderHint seeds the node's leader cache (a rejoining node is told
 	// the leader that granted its rollback).
@@ -65,9 +67,11 @@ type RecoverConfig struct {
 	// a snapshot and truncates it once it exceeds this many entries.
 	// 0 takes the default (512); negative disables compaction.
 	CompactEvery int64
-	// Voters names the initial voting membership of the quorum (nil:
-	// every node). Non-voting nodes still run replicas and can be
-	// promoted at runtime with ChangeMembership.
+	// Voters names the initial voting membership of a replicated
+	// manager log on three or more nodes (nil: every node). Non-voting
+	// nodes still run replicas and can be promoted at runtime with
+	// ChangeMembership. Below three nodes node 0 is the sole voter and
+	// Voters is ignored.
 	Voters []int
 }
 
@@ -187,8 +191,7 @@ func (n *Node) replayBarrier() {
 // node's RPCTimeout. Each attempt is a fresh request under a fresh
 // token — manager commands are idempotent, so a duplicate execution
 // after a lost reply converges — and every redirect both counts and
-// updates the node's leader cache. When the quorum is inactive the
-// manager is statically node 0 and this is a plain rpc.
+// updates the node's leader cache.
 func (n *Node) mgrRPC(m *wire.Msg) *wire.Msg {
 	r := n.mgrRPCRedirect(m)
 	if r.Kind == wire.KNotLeader {
@@ -211,9 +214,6 @@ func (n *Node) mgrRPCRedirect(m *wire.Msg) *wire.Msg { return n.mgrRPCLane(m, 0)
 // of their own, for callers running concurrently with the worker's
 // lane-0 manager RPCs (the supervisor's membership changes).
 func (n *Node) mgrRPCLane(m *wire.Msg, lane int64) *wire.Msg {
-	if !n.consensusOn() {
-		return n.rpcLane(0, m, lane)
-	}
 	deadline := time.Now().Add(n.cfg.RPCTimeout)
 	perTry := 4 * n.cfg.RetryMax
 	if perTry < 250*time.Millisecond {
@@ -325,7 +325,7 @@ func (n *Node) captureCheckpoint(episode int64) {
 		n.handleWriteNotices(m)
 	}
 
-	if rc.Replicate && (n.id != 0 || n.consensusOn()) {
+	if rc.Replicate {
 		n.pushSnapshot(episode, ckpt.EncodeNode(snap))
 	}
 	n.mgrRPC(&wire.Msg{Kind: wire.KCkptDone, Episode: episode})
@@ -526,12 +526,11 @@ func (n *Node) closedErr() error {
 	return fmt.Errorf("node %d: shut down", n.id)
 }
 
-// awaitCommit proposes cmd on this node's manager and blocks for the
-// commit (or the direct apply when the quorum is inactive), bounded by
-// RPCTimeout and the node's shutdown.
+// awaitCommit proposes cmd on this node's manager replica and blocks
+// for the commit, bounded by RPCTimeout and the node's shutdown.
 func (n *Node) awaitCommit(cmd []byte) error {
 	errc := make(chan error, 1)
-	n.mgr.propose(cmd, func(err error) { errc <- err })
+	n.mgr.rep.Propose(cmd, func(err error) { errc <- err })
 	select {
 	case err := <-errc:
 		return err
@@ -543,10 +542,9 @@ func (n *Node) awaitCommit(cmd []byte) error {
 }
 
 // StableCheckpoint returns the newest checkpoint episode every node has
-// confirmed durably stored (0 = the initial image). Manager node only —
-// with the quorum active, the current leader. A noop is committed first
-// as a read barrier, so the answer reflects everything any previous
-// leader acknowledged.
+// confirmed durably stored (0 = the initial image). The manager log's
+// current leader only. A noop is committed first as a read barrier, so
+// the answer reflects everything any previous leader acknowledged.
 func (n *Node) StableCheckpoint() (int64, error) {
 	if n.mgr == nil {
 		return 0, fmt.Errorf("node %d: not the manager", n.id)
@@ -559,10 +557,9 @@ func (n *Node) StableCheckpoint() (int64, error) {
 
 // ResetManager rolls the manager's replicated state back to checkpoint
 // episode k and marks victim as recovering: its silence is expected,
-// its rejoin is awaited, and liveness skips it until KResume. Manager
-// node only — with the quorum active, the current leader, and the reset
-// commits on the quorum before returning. Call after SetEpoch on every
-// surviving engine.
+// its rejoin is awaited, and liveness skips it until KResume. The
+// manager log's current leader only; the reset commits on the log
+// before returning. Call after SetEpoch on every surviving engine.
 func (n *Node) ResetManager(k int64, victim int) error {
 	if n.mgr == nil {
 		return fmt.Errorf("node %d: not the manager", n.id)
@@ -570,25 +567,15 @@ func (n *Node) ResetManager(k int64, victim int) error {
 	return n.awaitCommit(encodeReset(int32(victim), k))
 }
 
-// ConsensusLeader reports this node's view of the manager quorum: the
+// ConsensusLeader reports this node's view of the manager log: the
 // current term's leader (-1 while an election is unsettled) and whether
-// this node is it. ok is false when the quorum is inactive.
-func (n *Node) ConsensusLeader() (leader int, isLeader bool, ok bool) {
-	g := n.mgr
-	if g == nil || g.rep == nil {
-		return 0, n.id == 0, false
+// this node is it. A node without a replica reports its leader cache.
+func (n *Node) ConsensusLeader() (leader int, isLeader bool) {
+	if n.mgr == nil {
+		return int(n.leaderHint.Load()), false
 	}
-	info := g.rep.Leader()
-	return info.Leader, info.IsLeader, true
-}
-
-// ConsensusVoters reports this node's current view of the quorum's
-// voting membership (nil when the quorum is inactive).
-func (n *Node) ConsensusVoters() []int {
-	if g := n.mgr; g != nil && g.rep != nil {
-		return g.rep.Leader().Voters
-	}
-	return nil
+	info := n.mgr.rep.Leader()
+	return info.Leader, info.IsLeader
 }
 
 // confLane is the token lane of membership-change RPCs: the supervisor
@@ -596,12 +583,12 @@ func (n *Node) ConsensusVoters() []int {
 // each lane keeps its own monotonic dedup window at the leader.
 const confLane int64 = 0x3F0C
 
-// ChangeMembership commits a single-server change to the quorum's
+// ChangeMembership commits a single-server change to the manager log's
 // voting membership through the current leader: add (or remove) node
 // target as a voter. It follows leader redirects like any manager RPC
-// and returns an error when the quorum is inactive, the change is
-// rejected (one change at a time; a removal may not shrink the voting
-// set below three), or no settled leader was reached in time. Safe to
+// and returns an error when the change is rejected (one change at a
+// time, and none may leave fewer than three voters — so a single-voter
+// log never changes), or no settled leader was reached in time. Safe to
 // call from supervisor goroutines while the worker runs.
 func (n *Node) ChangeMembership(add bool, target int) (err error) {
 	defer func() {
@@ -613,9 +600,6 @@ func (n *Node) ChangeMembership(add bool, target int) (err error) {
 			err = fmt.Errorf("node %d: membership change: %w", n.id, re.err)
 		}
 	}()
-	if !n.consensusOn() {
-		return fmt.Errorf("node %d: membership change without an active quorum", n.id)
-	}
 	m := &wire.Msg{Kind: wire.KConfChange, ReqFrom: int32(target)}
 	if add {
 		m.Flag = 1

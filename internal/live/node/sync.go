@@ -165,8 +165,8 @@ type knowLog struct {
 	recs [][]int32
 }
 
-func (k *knowLog) covered() int32           { return k.base + int32(len(k.recs)) }
-func (k *knowLog) pages(idx int32) []int32  { return k.recs[idx-k.base-1] }
+func (k *knowLog) covered() int32          { return k.base + int32(len(k.recs)) }
+func (k *knowLog) pages(idx int32) []int32 { return k.recs[idx-k.base-1] }
 
 // barAgg accumulates one barrier episode's arrivals from this node's
 // worker and tree children.
@@ -550,26 +550,15 @@ func (n *Node) handleBarArrive(m *wire.Msg) {
 	// A flagged episode commits the root's half of the checkpoint — the
 	// episode number and merged vector time — before any release
 	// escapes: by the time a node can snapshot (after its depart) or
-	// confirm, the manager snapshot it pairs with exists on the quorum.
+	// confirm, the manager snapshot it pairs with is committed on the
+	// manager log.
 	// lastRelease still names the previous episode meanwhile, so a
 	// duplicate arrival for this one is dropped instead of re-served
 	// early (see the stale-release path above).
 	n.mu.Unlock()
-	if !n.consensusOn() {
-		// Static manager: the root is the manager; apply directly.
-		if err := n.mgr.applyCmd(encodeMgrSnap(episode, merged)); err != nil {
-			n.abortCluster(fmt.Errorf("node %d: storing manager checkpoint %d: %w", n.id, episode, err))
-			return
-		}
-		n.mu.Lock()
-		sy.lastRelease = rel
-		n.mu.Unlock()
-		n.fanRelease(rel, selfTok)
-		return
-	}
-	// Replicated manager: the root (statically node 0) may not be the
-	// leader, and the dispatcher must not block on a quorum round-trip —
-	// a helper goroutine chases the leader with KMgrSnap and fans the
+	// The root (statically node 0) may not be the manager log's leader,
+	// and the dispatcher must not block on a commit round-trip — a
+	// helper goroutine chases the leader with KMgrSnap and fans the
 	// releases out once the commit is acknowledged. A rollback that
 	// lands meanwhile supersedes the episode: the epoch moves and the
 	// sync plane resets, so the release is quietly abandoned.
@@ -848,9 +837,9 @@ func (n *Node) handleLogSegReq(m *wire.Msg) {
 // partitioned one) is torn down by the cluster anyway.
 func (n *Node) abortCluster(err error) {
 	msg := &wire.Msg{Kind: wire.KAbort, Err: err.Error()}
-	// Stamp the quorum term so receivers can fence an abort from a
-	// deposed leader whose cluster view is stale.
-	if g := n.mgr; g != nil && g.rep != nil {
+	// Stamp the manager log's term so receivers can fence an abort from
+	// a deposed leader whose cluster view is stale.
+	if g := n.mgr; g != nil {
 		msg.Term = g.rep.Leader().Term
 	}
 	for p := 0; p < n.nn; p++ {

@@ -3,6 +3,7 @@ package live
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -139,10 +140,10 @@ func TestRecoverySoakTCP(t *testing.T) {
 				t.Fatal(err)
 			}
 			fcfg := chaos.Config{
-				Seed:     2,
-				DropP:    0.01,
-				DupP:     0.02,
-				Crashes:  crashSchedule(tc.app),
+				Seed:    2,
+				DropP:   0.01,
+				DupP:    0.02,
+				Crashes: crashSchedule(tc.app),
 			}
 			opts := RecoverOptions{
 				MaxRestarts:     4,
@@ -188,30 +189,41 @@ func TestRecoveryLostStore(t *testing.T) {
 
 // TestRecoveryDirStore runs one crash-recovery cycle with on-disk
 // checkpoint stores, proving the serialized snapshot round-trips through
-// a real filesystem during recovery.
+// a real filesystem during recovery. The 2-node row runs the manager as
+// node 0's single-voter log: the rollback and the rejoin go through the
+// same consensus path as a replicated one.
 func TestRecoveryDirStore(t *testing.T) {
-	stores := make([]ckpt.Store, 4)
-	for i := range stores {
-		s, err := ckpt.NewDirStore(t.TempDir())
-		if err != nil {
-			t.Fatal(err)
-		}
-		stores[i] = s
+	// A 2-node jacobi sends ~40 frames in all, so its kill comes earlier.
+	for _, tc := range []struct {
+		nodes int
+		atOp  int64
+	}{{4, 40}, {2, 12}} {
+		nodes := tc.nodes
+		t.Run(fmt.Sprintf("%dn", nodes), func(t *testing.T) {
+			stores := make([]ckpt.Store, nodes)
+			for i := range stores {
+				s, err := ckpt.NewDirStore(t.TempDir())
+				if err != nil {
+					t.Fatal(err)
+				}
+				stores[i] = s
+			}
+			fcfg := chaos.Config{Seed: 4, Crashes: []chaos.Crash{
+				{Node: 1, AtOp: tc.atOp, RestartAfter: 0},
+			}}
+			opts := RecoverOptions{
+				MaxRestarts:     2,
+				CheckpointEvery: 1,
+				Stores:          stores,
+				Seed:            4,
+			}
+			got, stats, _ := runAppSupervised(t, "jacobi", core.LI, nodes, transport.NewInprocNet(nodes), fcfg, opts)
+			if stats.Restarts == 0 {
+				t.Error("kill fired but no restart recorded")
+			}
+			compareToReference(t, "jacobi", core.LI, got)
+		})
 	}
-	fcfg := chaos.Config{Seed: 4, Crashes: []chaos.Crash{
-		{Node: 1, AtOp: 40, RestartAfter: 0},
-	}}
-	opts := RecoverOptions{
-		MaxRestarts:     2,
-		CheckpointEvery: 1,
-		Stores:          stores,
-		Seed:            4,
-	}
-	got, stats, _ := runAppSupervised(t, "jacobi", core.LI, 4, transport.NewInprocNet(4), fcfg, opts)
-	if stats.Restarts == 0 {
-		t.Error("kill fired but no restart recorded")
-	}
-	compareToReference(t, "jacobi", core.LI, got)
 }
 
 // TestRecoveryLockHomeCrash kills node 1 — the home of tsp's min-cost
@@ -267,24 +279,80 @@ func TestPartitionHealSupervised(t *testing.T) {
 // TestRestartBudgetExhausted is the degradation claim: with the restart
 // budget set to zero, a killed node must produce the same structured
 // PeerDownError abort a recovery-free cluster reports — quickly, via
-// heartbeat detection, not by riding out the RPC deadline.
+// heartbeat detection, not by riding out the RPC deadline. On 2 nodes
+// the judge is node 0's single-voter log, whose "hear a majority" test
+// must count its one voter, not the cluster.
 func TestRestartBudgetExhausted(t *testing.T) {
+	// A 2-node jacobi sends ~40 frames in all: kill early, while node 0
+	// still has barriers to wait on.
+	for _, tc := range []struct {
+		nodes, victim int
+		atOp          int64
+	}{{4, 2, 25}, {2, 1, 8}} {
+		tc := tc
+		t.Run(fmt.Sprintf("%dn", tc.nodes), func(t *testing.T) {
+			app, err := harness.NewApp("jacobi", harness.ScaleTest)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var cl *Cluster
+			fcfg := chaos.Config{
+				Seed:    6,
+				Crashes: []chaos.Crash{{Node: tc.victim, AtOp: tc.atOp}},
+				OnCrash: func(n int, d time.Duration) { cl.Kill(n, d) },
+			}
+			nw := chaos.WrapNet(transport.NewInprocNet(tc.nodes), fcfg)
+			cfg := chaosConfig(tc.nodes, core.LH, nil)
+			cfg.Net = nw
+			cfg.RPCTimeout = 30 * time.Second
+			cfg.HeartbeatInterval = 25 * time.Millisecond
+			cfg.HeartbeatTimeout = 250 * time.Millisecond
+			cl, err = New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			app.Configure(cl)
+
+			t0 := time.Now()
+			_, runErr := cl.RunSupervised(func(w core.Worker) { app.Worker(w) }, RecoverOptions{MaxRestarts: 0})
+			elapsed := time.Since(t0)
+
+			if runErr == nil {
+				t.Fatal("killed node with zero restart budget reported success")
+			}
+			var pd *node.PeerDownError
+			if !errors.As(runErr, &pd) {
+				t.Fatalf("want *node.PeerDownError, got %T: %v", runErr, runErr)
+			}
+			if pd.Node != tc.victim {
+				t.Errorf("suspect node = %d, want %d (the killed node)", pd.Node, tc.victim)
+			}
+			if elapsed > 10*time.Second {
+				t.Errorf("abort took %v — heartbeat detection did not convert the kill", elapsed)
+			}
+			t.Logf("degraded to structured abort in %v: %v", elapsed, runErr)
+		})
+	}
+}
+
+// TestSoleVoterCrashFailsFast kills node 0 of a supervised 2-node
+// cluster. Node 0 is the manager log's sole voter, so there is nothing
+// to fail over to: the run must end at once with the structured error
+// saying so, not search a minute for a leader among the survivors.
+func TestSoleVoterCrashFailsFast(t *testing.T) {
 	app, err := harness.NewApp("jacobi", harness.ScaleTest)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var cl *Cluster
 	fcfg := chaos.Config{
-		Seed:    6,
-		Crashes: []chaos.Crash{{Node: 2, AtOp: 25}},
+		Seed:    9,
+		Crashes: []chaos.Crash{{Node: 0, AtOp: 8}},
 		OnCrash: func(n int, d time.Duration) { cl.Kill(n, d) },
 	}
-	nw := chaos.WrapNet(transport.NewInprocNet(4), fcfg)
-	cfg := chaosConfig(4, core.LH, nil)
+	nw := chaos.WrapNet(transport.NewInprocNet(2), fcfg)
+	cfg := chaosConfig(2, core.LH, nil)
 	cfg.Net = nw
-	cfg.RPCTimeout = 30 * time.Second
-	cfg.HeartbeatInterval = 25 * time.Millisecond
-	cfg.HeartbeatTimeout = 250 * time.Millisecond
 	cl, err = New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -292,21 +360,17 @@ func TestRestartBudgetExhausted(t *testing.T) {
 	app.Configure(cl)
 
 	t0 := time.Now()
-	_, runErr := cl.RunSupervised(func(w core.Worker) { app.Worker(w) }, RecoverOptions{MaxRestarts: 0})
+	_, runErr := cl.RunSupervised(func(w core.Worker) { app.Worker(w) }, RecoverOptions{
+		MaxRestarts: 2, CheckpointEvery: 1, Seed: 9,
+	})
 	elapsed := time.Since(t0)
-
-	if runErr == nil {
-		t.Fatal("killed node with zero restart budget reported success")
+	if nw.Counters().Crashes == 0 {
+		t.Fatalf("crash schedule fired no kills (err: %v)", runErr)
 	}
-	var pd *node.PeerDownError
-	if !errors.As(runErr, &pd) {
-		t.Fatalf("want *node.PeerDownError, got %T: %v", runErr, runErr)
+	if runErr == nil || !strings.Contains(runErr.Error(), "manager (node 0) crashed") {
+		t.Fatalf("want the sole-voter crash error, got %v", runErr)
 	}
-	if pd.Node != 2 {
-		t.Errorf("suspect node = %d, want 2 (the killed node)", pd.Node)
+	if elapsed > 5*time.Second {
+		t.Errorf("sole-voter crash took %v to surface", elapsed)
 	}
-	if elapsed > 10*time.Second {
-		t.Errorf("abort took %v — heartbeat detection did not convert the kill", elapsed)
-	}
-	t.Logf("degraded to structured abort in %v: %v", elapsed, runErr)
 }

@@ -1,11 +1,8 @@
 package live
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
-	"runtime/debug"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -13,8 +10,6 @@ import (
 	"lrcdsm/internal/live/consensus"
 	"lrcdsm/internal/live/node"
 	ckpt "lrcdsm/internal/live/recover"
-	"lrcdsm/internal/live/transport"
-	"lrcdsm/internal/page"
 )
 
 // RecoverOptions parameterizes RunSupervised's crash-recovery policy.
@@ -88,129 +83,6 @@ func (c *Cluster) Kill(victim int, restartAfter time.Duration) {
 	c.trs[victim].Close()
 }
 
-// runDegraded is RunSupervised with the restart budget exhausted from
-// the start: no checkpointing, no rejoin. It differs from Run in one
-// respect — a node killed through Kill dies like a separate process
-// would, so its worker's own unwinding does not abort the cluster; the
-// survivors keep running until the manager's failure detector converts
-// the silence into the structured PeerDownError abort.
-func (c *Cluster) runDegraded(worker func(core.Worker)) (*Stats, error) {
-	if c.ran {
-		return nil, fmt.Errorf("live: Cluster already ran")
-	}
-	c.ran = true
-	if c.brk == 0 {
-		return nil, fmt.Errorf("live: no shared memory allocated")
-	}
-	npages := int(c.pageOf(c.brk-1)) + 1
-	homes := c.homeAssignment(npages)
-
-	trs := c.cfg.Net.Transports()
-	nodes := make([]*node.Node, c.cfg.Nodes)
-	for i := range nodes {
-		nodes[i] = node.New(trs[i], c.nodeConfig(npages, homes, nil))
-	}
-	c.mu.Lock()
-	c.nodes = nodes
-	c.trs = trs
-	c.mu.Unlock()
-	for _, nd := range nodes {
-		nd.Start()
-	}
-	teardown := func() {
-		for _, nd := range nodes {
-			nd.Close()
-		}
-		for _, tr := range trs {
-			tr.Close()
-		}
-	}
-
-	t0 := time.Now()
-	doneCh := make(chan []error, 1)
-	errCh := make(chan int, c.cfg.Nodes)
-	go func() {
-		errs := make([]error, c.cfg.Nodes)
-		var wg sync.WaitGroup
-		for i, nd := range nodes {
-			wg.Add(1)
-			go func(i int, nd *node.Node) {
-				defer wg.Done()
-				defer func() {
-					if r := recover(); r != nil {
-						if re, ok := r.(interface{ Unwrap() error }); ok {
-							errs[i] = re.Unwrap()
-						} else {
-							errs[i] = fmt.Errorf("live: node %d worker panic: %v\n%s", i, r, debug.Stack())
-						}
-						errCh <- i
-					}
-				}()
-				worker(nd)
-				nd.FinalFlush()
-			}(i, nd)
-		}
-		wg.Wait()
-		doneCh <- errs
-	}()
-
-	var roundErrs []error
-wait:
-	for {
-		select {
-		case <-errCh:
-			select {
-			case <-c.crashCh:
-				// A killed node's worker unwound. Leave the survivors
-				// running: the manager's heartbeat monitor will declare
-				// the node down and abort the cluster with the verdict.
-			default:
-				// A genuine worker failure aborts the run, as Run would.
-				teardown()
-				roundErrs = <-doneCh
-				break wait
-			}
-		case roundErrs = <-doneCh:
-			break wait
-		}
-	}
-	elapsed := time.Since(t0)
-	for _, nd := range nodes {
-		if err := nd.Err(); err != nil {
-			roundErrs = append(roundErrs, err)
-		}
-	}
-	firstErr := pickErr(roundErrs)
-	if firstErr == nil {
-		c.final = make([]byte, c.brk)
-		for pg := 0; pg < npages; pg++ {
-			img := nodes[homes[pg]].HomePage(page.ID(pg))
-			off := pg << c.pageShift
-			copy(c.final[off:], img)
-		}
-	}
-	teardown()
-	for _, nd := range nodes {
-		nd.Wait()
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	st := &Stats{
-		Nodes:     c.cfg.Nodes,
-		Protocol:  c.cfg.Protocol.String(),
-		ElapsedNs: elapsed.Nanoseconds(),
-	}
-	for _, nd := range nodes {
-		s := nd.Stats()
-		st.PerNode = append(st.PerNode, s)
-		st.Total.Add(&s)
-	}
-	st.Total.Node = -1
-	st.computeBalance()
-	return st, nil
-}
-
 // RunSupervised executes worker on every node like Run, but survives
 // node crashes (Kill, or death detected by the manager's liveness
 // machinery): the cluster rolls back to the last barrier-aligned
@@ -225,14 +97,11 @@ func (c *Cluster) RunSupervised(worker func(core.Worker), opts RecoverOptions) (
 	if opts.MaxRestarts <= 0 {
 		// No restart budget: run without the recovery machinery so a
 		// crash produces the structured PeerDownError abort.
-		return c.runDegraded(worker)
+		return c.Run(worker)
 	}
-	if c.ran {
-		return nil, fmt.Errorf("live: Cluster already ran")
-	}
-	c.ran = true
-	if c.brk == 0 {
-		return nil, fmt.Errorf("live: no shared memory allocated")
+	npages, homes, err := c.begin()
+	if err != nil {
+		return nil, err
 	}
 	if opts.CheckpointEvery <= 0 {
 		opts.CheckpointEvery = 1
@@ -251,8 +120,6 @@ func (c *Cluster) RunSupervised(worker func(core.Worker), opts RecoverOptions) (
 		return nil, fmt.Errorf("live: %d checkpoint stores for %d nodes", len(stores), c.cfg.Nodes)
 	}
 
-	npages := int(c.pageOf(c.brk-1)) + 1
-	homes := c.homeAssignment(npages)
 	rng := rand.New(rand.NewSource(opts.Seed))
 
 	var (
@@ -260,20 +127,21 @@ func (c *Cluster) RunSupervised(worker func(core.Worker), opts RecoverOptions) (
 		incarnations = make([]uint32, c.cfg.Nodes)
 		restarts     atomic.Int64
 	)
-	// With three or more nodes the manager state machine is replicated
-	// across every node through the consensus log, so a crashed
-	// coordinator fails over instead of aborting the run. The durable
-	// term/vote/log state outlives each node incarnation: a restarted
-	// replica rejoins the quorum with its history intact.
+	// With three or more nodes every node holds a replica of the
+	// manager log (see node.New), so a crashed coordinator fails over
+	// instead of aborting the run and voters can be added; below that,
+	// node 0 is the log's sole voter. The durable term/vote/log state
+	// outlives each node incarnation: a restarted replica rejoins with
+	// its history intact.
 	quorum := c.cfg.Nodes >= 3
 	stables := opts.Stables
-	if quorum && stables == nil {
+	if stables == nil {
 		stables = make([]*consensus.Stable, c.cfg.Nodes)
 		for i := range stables {
 			stables[i] = consensus.NewStable()
 		}
 	}
-	if quorum && len(stables) != c.cfg.Nodes {
+	if len(stables) != c.cfg.Nodes {
 		return nil, fmt.Errorf("live: %d consensus slots for %d nodes", len(stables), c.cfg.Nodes)
 	}
 	var voters []int
@@ -288,22 +156,18 @@ func (c *Cluster) RunSupervised(worker func(core.Worker), opts RecoverOptions) (
 	}
 	leaderHint := 0
 	rcFor := func(i int) *node.RecoverConfig {
-		rc := &node.RecoverConfig{
+		return &node.RecoverConfig{
 			Store:        stores[i],
 			Every:        opts.CheckpointEvery,
 			Replicate:    opts.Replicate,
 			Epoch:        epoch,
 			Incarnation:  incarnations[i],
+			Consensus:    stables[i],
+			LeaderHint:   leaderHint,
 			Seed:         opts.Seed + int64(i+1)*104729,
 			CompactEvery: opts.CompactEvery,
 			Voters:       voters,
-		}
-		if quorum {
-			rc.Consensus = stables[i]
-			rc.LeaderHint = leaderHint
-		}
-		if i == 0 || quorum {
-			rc.OnPeerDown = func(pe *node.PeerDownError) bool {
+			OnPeerDown: func(pe *node.PeerDownError) bool {
 				// Dispatcher goroutine: hand the failure to the
 				// supervisor while budget remains. A rollback already in
 				// flight swallows the report — the victim is either the
@@ -318,23 +182,11 @@ func (c *Cluster) RunSupervised(worker func(core.Worker), opts RecoverOptions) (
 					}
 				}
 				return true
-			}
+			},
 		}
-		return rc
 	}
-
-	trs := c.cfg.Net.Transports()
-	nodes := make([]*node.Node, c.cfg.Nodes)
-	for i := range nodes {
-		nodes[i] = node.New(trs[i], c.nodeConfig(npages, homes, rcFor(i)))
-	}
-	c.mu.Lock()
-	c.nodes = nodes
-	c.trs = trs
-	c.mu.Unlock()
-	for _, nd := range nodes {
-		nd.Start()
-	}
+	c.startNodes(c.cfg.Net.Transports(), npages, homes, rcFor)
+	nodes := c.engines()
 
 	// Runtime membership growth: each scheduled promotion is retried
 	// through the cluster's current engines until the change commits —
@@ -352,10 +204,7 @@ func (c *Cluster) RunSupervised(worker func(core.Worker), opts RecoverOptions) (
 					return
 				}
 				for {
-					c.mu.Lock()
-					nds := append([]*node.Node(nil), c.nodes...)
-					c.mu.Unlock()
-					for _, nd := range nds {
+					for _, nd := range c.engines() {
 						if nd == nil {
 							continue
 						}
@@ -373,53 +222,8 @@ func (c *Cluster) RunSupervised(worker func(core.Worker), opts RecoverOptions) (
 		}
 	}
 
-	teardown := func() {
-		c.mu.Lock()
-		nds := append([]*node.Node(nil), c.nodes...)
-		ts := append([]transport.Transport(nil), c.trs...)
-		c.mu.Unlock()
-		for _, nd := range nds {
-			nd.Close()
-		}
-		for _, tr := range ts {
-			tr.Close()
-		}
-	}
-
-	// launch starts one worker per node; errCh fires once per worker
-	// failure, doneCh once when the whole round has unwound.
-	launch := func() (doneCh chan []error, errCh chan int) {
-		doneCh = make(chan []error, 1)
-		errCh = make(chan int, c.cfg.Nodes)
-		go func() {
-			errs := make([]error, c.cfg.Nodes)
-			var wg sync.WaitGroup
-			for i, nd := range nodes {
-				wg.Add(1)
-				go func(i int, nd *node.Node) {
-					defer wg.Done()
-					defer func() {
-						if r := recover(); r != nil {
-							if re, ok := r.(interface{ Unwrap() error }); ok {
-								errs[i] = re.Unwrap()
-							} else {
-								errs[i] = fmt.Errorf("live: node %d worker panic: %v\n%s", i, r, debug.Stack())
-							}
-							errCh <- i
-						}
-					}()
-					worker(nd)
-					nd.FinalFlush()
-				}(i, nd)
-			}
-			wg.Wait()
-			doneCh <- errs
-		}()
-		return doneCh, errCh
-	}
-
 	fail := func(doneCh chan []error, roundErrs []error, err error) (*Stats, error) {
-		teardown()
+		c.teardown()
 		if roundErrs == nil && doneCh != nil {
 			roundErrs = <-doneCh
 		}
@@ -433,22 +237,12 @@ func (c *Cluster) RunSupervised(worker func(core.Worker), opts RecoverOptions) (
 	}
 
 	// rollback reads the stable checkpoint and resets the replicated
-	// manager state, addressing whichever replica currently leads. Under
-	// a quorum the leader is re-resolved (and the calls retried) until a
-	// surviving replica both claims leadership and commits the reset —
-	// an election may still be in flight when the crash is handled, and
-	// the first claimed leader can be deposed mid-proposal.
+	// manager state, addressing whichever replica currently leads. The
+	// leader is re-resolved (and the calls retried) until a surviving
+	// replica both claims leadership and commits the reset — an election
+	// may still be in flight when the crash is handled, and the first
+	// claimed leader can be deposed mid-proposal.
 	rollback := func(victim int) (int64, error) {
-		if !quorum {
-			k, err := nodes[0].StableCheckpoint()
-			if err != nil {
-				return 0, fmt.Errorf("live: reading stable checkpoint: %w", err)
-			}
-			if err := nodes[0].ResetManager(k, victim); err != nil {
-				return 0, fmt.Errorf("live: rolling manager back to episode %d: %w", k, err)
-			}
-			return k, nil
-		}
 		var lastErr error
 		deadline := time.Now().Add(time.Minute)
 		for time.Now().Before(deadline) {
@@ -457,7 +251,7 @@ func (c *Cluster) RunSupervised(worker func(core.Worker), opts RecoverOptions) (
 				if i == victim {
 					continue
 				}
-				if _, isLeader, _ := nd.ConsensusLeader(); isLeader {
+				if _, isLeader := nd.ConsensusLeader(); isLeader {
 					ldr = i
 					break
 				}
@@ -489,7 +283,7 @@ func (c *Cluster) RunSupervised(worker func(core.Worker), opts RecoverOptions) (
 	)
 	t0 := time.Now()
 	for {
-		doneCh, errCh := launch()
+		doneCh, errCh := c.launch(worker)
 		var (
 			ev        crashEvent
 			crashed   bool
@@ -506,22 +300,11 @@ func (c *Cluster) RunSupervised(worker func(core.Worker), opts RecoverOptions) (
 			case ev = <-c.crashCh:
 				crashed = true
 			default:
-				teardown()
+				c.teardown()
 				roundErrs = <-doneCh
-				for _, nd := range nodes {
-					if err := nd.Err(); err != nil {
-						roundErrs = append(roundErrs, err)
-					}
-				}
-				err := pickErr(roundErrs)
-				var pd *node.PeerDownError
-				if !errors.As(err, &pd) && roundErrs[first] != nil {
-					err = roundErrs[first]
-				}
-				for _, nd := range nodes {
-					nd.Wait()
-				}
-				return nil, err
+				// The failing worker's own error outranks the aborts it
+				// caused elsewhere; a failure verdict outranks both.
+				return c.finish(homes, 0, append([]error{roundErrs[first]}, roundErrs...))
 			}
 		case roundErrs = <-doneCh:
 			select {
@@ -542,6 +325,7 @@ func (c *Cluster) RunSupervised(worker func(core.Worker), opts RecoverOptions) (
 
 		// ---- crash: roll back, rejoin, re-run ----
 		if ev.victim == 0 && !quorum {
+			// Node 0 was the manager log's sole voter.
 			return fail(doneCh, roundErrs, fmt.Errorf("live: manager (node 0) crashed and no quorum is configured (fewer than 3 nodes); manager recovery needs a replica to fail over to"))
 		}
 		if int(restarts.Load()) >= opts.MaxRestarts {
@@ -593,8 +377,14 @@ func (c *Cluster) RunSupervised(worker func(core.Worker), opts RecoverOptions) (
 			nd.BeginReplay(k)
 		}
 
-		// The killed incarnation's counters would vanish with the engine;
-		// fold them into the run total.
+		// Stop the dead incarnation for good before its successor reuses
+		// its store and consensus slot: a victim the failure detector
+		// declared down is still running, and even a killed one may be
+		// mid-apply. Its counters would vanish with the engine; fold them
+		// into the run total.
+		nodes[ev.victim].Close()
+		c.trs[ev.victim].Close()
+		nodes[ev.victim].Wait()
 		ks := nodes[ev.victim].Stats()
 		killedTotal.Add(&ks)
 
@@ -618,8 +408,8 @@ func (c *Cluster) RunSupervised(worker func(core.Worker), opts RecoverOptions) (
 		c.mu.Lock()
 		c.nodes[ev.victim] = fresh
 		c.trs[ev.victim] = tr
-		nodes = c.nodes
 		c.mu.Unlock()
+		nodes[ev.victim] = fresh
 		fresh.Start()
 		if err := fresh.JoinCluster(); err != nil {
 			if len(c.crashCh) > 0 {
@@ -638,32 +428,12 @@ func (c *Cluster) RunSupervised(worker func(core.Worker), opts RecoverOptions) (
 	}
 
 finished:
-	elapsed := time.Since(t0)
-	c.final = make([]byte, c.brk)
-	for pg := 0; pg < npages; pg++ {
-		img := nodes[homes[pg]].HomePage(page.ID(pg))
-		off := pg << c.pageShift
-		copy(c.final[off:], img)
+	st, err := c.finish(homes, time.Since(t0), nil)
+	if err != nil {
+		return nil, err
 	}
-	teardown()
-	for _, nd := range nodes {
-		nd.Wait()
-	}
-
-	st := &Stats{
-		Nodes:      c.cfg.Nodes,
-		Protocol:   c.cfg.Protocol.String(),
-		ElapsedNs:  elapsed.Nanoseconds(),
-		Restarts:   restarts.Load(),
-		RecoveryNs: recoveryNs,
-	}
-	for _, nd := range nodes {
-		s := nd.Stats()
-		st.PerNode = append(st.PerNode, s)
-		st.Total.Add(&s)
-	}
+	st.Restarts, st.RecoveryNs = restarts.Load(), recoveryNs
 	st.Total.Add(&killedTotal)
-	st.Total.Node = -1
 	st.computeBalance()
 	return st, nil
 }
